@@ -49,34 +49,17 @@ from .replica import (
     solve_threshold_fixed_point,
     threshold_state_for,
 )
-from .special import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    QuadratureError,
-    gauss_expectation,
-    gauss_pdf,
-    lemma_oracles,
-    phi_lambda_oracle,
-    q_function,
-    r_lambda,
-    s_func,
-)
+from .special import gauss_pdf, q_function, r_lambda, s_func
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # special functions and oracles
+    # special functions
     "q_function",
     "gauss_pdf",
     "s_func",
     "r_lambda",
-    "QuadratureConfig",
-    "QuadratureError",
-    "DEFAULT_QUADRATURE",
-    "phi_lambda_oracle",
-    "gauss_expectation",
-    "lemma_oracles",
     # asymptotic solvers
     "SystemParams",
     "SolverConfig",

@@ -24,9 +24,10 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .decoder import DecoderConfig
+from .decoder import DEFAULT_DECODER, DecoderConfig
 from .experiments import EnsembleSpec, run_monte_carlo, sweep_phase_diagram
 from .replica import (
+    DEFAULT_SOLVER,
     BracketError,
     FixedPointError,
     ObjectiveProbeError,
@@ -39,14 +40,13 @@ from .replica import (
     solve_threshold_fixed_point,
 )
 from .selftest import run_all
-from .special import QuadratureError
 
 __all__ = ["main", "build_parser"]
 
 # config keys that map to bare boolean flags
 _BOOL_KEYS = {"with-mc"}
 
-_COMPUTE_ERRORS = (FixedPointError, BracketError, ObjectiveProbeError, QuadratureError)
+_COMPUTE_ERRORS = (FixedPointError, BracketError, ObjectiveProbeError)
 
 
 class _UsageError(Exception):
@@ -136,12 +136,22 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--damping", type=float, default=0.5, help="iteration damping in [0, 1)")
-    p.add_argument("--rel-tol", type=float, default=1e-12, help="fixed point relative tolerance")
-    p.add_argument("--max-iters", type=int, default=200_000, help="fixed point sweep budget")
-    p.add_argument("--lambda-min", type=float, default=1e-3, help="penalty search bracket, lower end")
-    p.add_argument("--lambda-max", type=float, default=1e3, help="penalty search bracket, upper end")
-    p.add_argument("--bisection-tol", type=float, default=1e-6, help="bisection interval tolerance")
+    d = DEFAULT_SOLVER
+    p.add_argument("--damping", type=float, default=d.damping, help="iteration damping in [0, 1)")
+    p.add_argument("--rel-tol", type=float, default=d.rel_tol, help="fixed point relative tolerance")
+    p.add_argument("--max-iters", type=int, default=d.max_iters, help="fixed point sweep budget")
+    p.add_argument(
+        "--lambda-min", type=float, default=d.lambda_bracket[0], help="penalty search bracket, lower end"
+    )
+    p.add_argument(
+        "--lambda-max", type=float, default=d.lambda_bracket[1], help="penalty search bracket, upper end"
+    )
+    p.add_argument(
+        "--bisection-tol",
+        type=float,
+        default=d.bisection_tol,
+        help="search tolerance of the phase boundary (to half of it) and of log(lambda)",
+    )
 
 
 def _add_system_flags(p: argparse.ArgumentParser, with_variances: bool = True) -> None:
@@ -155,9 +165,10 @@ def _add_system_flags(p: argparse.ArgumentParser, with_variances: bool = True) -
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--step-scale", type=float, default=0.99, help="decoder step size safety factor")
-    p.add_argument("--decoder-tol", type=float, default=1e-9, help="decoder certificate tolerance")
-    p.add_argument("--decoder-max-iters", type=int, default=100_000, help="decoder sweep budget")
+    d = DEFAULT_DECODER
+    p.add_argument("--step-scale", type=float, default=d.step_scale, help="decoder step size safety factor")
+    p.add_argument("--decoder-tol", type=float, default=d.primal_tol, help="decoder certificate tolerance")
+    p.add_argument("--decoder-max-iters", type=int, default=d.max_iters, help="decoder sweep budget")
 
 
 def _add_mc_flags(p: argparse.ArgumentParser) -> None:

@@ -16,8 +16,8 @@ M/N -> alpha. Two coupled descriptions are implemented:
   boundary.
 
 Both are solved by damped forward iteration. The boundary is then pinned
-by bisection in rho_x or alpha, and a derivative-free line search tunes
-the penalty weight lam.
+in rho_x or alpha by Brent's root finder (scipy's brentq), and Brent's
+bounded minimizer (scipy's minimize_scalar) tunes the penalty weight lam.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Literal
+
+from scipy.optimize import brentq, minimize_scalar
 
 from .special import gauss_pdf, q_function, r_lambda, s_func
 
@@ -103,7 +105,12 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration and root-finding knobs shared by the solvers."""
+    """Iteration and search knobs shared by the solvers.
+
+    bisection_tol is the search tolerance: boundary roots are pinned to
+    within half of it, and the penalty search stops when its bracket on
+    log(lam) is about that wide.
+    """
 
     damping: float = 0.5
     rel_tol: float = 1e-12
@@ -174,7 +181,7 @@ class FixedPointError(RuntimeError):
 
 
 class BracketError(ValueError):
-    """Bisection endpoints do not straddle a sign change."""
+    """Boundary search endpoints do not straddle a sign change."""
 
 
 class ObjectiveProbeError(RuntimeError):
@@ -476,22 +483,27 @@ def threshold_state_for(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLVER
     return solve_threshold_fixed_point(params.alpha, params.lam, params.rho_x, params.rho_w, cfg)
 
 
-def _bisect(
-    f: Callable[[float], float],
+def _boundary_root(
+    residual_at: Callable[[float], float],
+    name: str,
     lo: float,
     hi: float,
-    f_lo: float,
-    tol: float,
+    rising: bool,
+    cfg: SolverConfig,
 ) -> float:
-    """Bisection for a sign change bracketed by (lo, hi); f_lo = f(lo)."""
-    positive_at_lo = f_lo > 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0.0) == positive_at_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Root of the condition residual on (lo, hi) by Brent's method.
+
+    rising says the residual must be negative at lo and positive at hi;
+    otherwise the reverse. The root is pinned to within cfg.bisection_tol / 2.
+    """
+    f_lo = residual_at(lo)
+    f_hi = residual_at(hi)
+    if not (f_lo < 0.0 < f_hi if rising else f_lo > 0.0 > f_hi):
+        raise BracketError(
+            "no phase boundary in range: condition residual is "
+            f"{f_lo:.6e} at {name}={lo:g} and {f_hi:.6e} at {name}={hi:g}"
+        )
+    return brentq(residual_at, lo, hi, xtol=cfg.bisection_tol / 2)
 
 
 def find_critical_rho_x(
@@ -500,25 +512,17 @@ def find_critical_rho_x(
     rho_w: float,
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> float:
-    """Largest signal density with perfect reconstruction, by bisection.
+    """Largest signal density with perfect reconstruction.
 
     The boundary condition residual is positive on the sparse side and
     negative on the dense side; the root is bracketed on (1e-6, 1 - 1e-6)
-    and pinned to cfg.bisection_tol.
+    and pinned by Brent's method to within cfg.bisection_tol / 2.
     """
-    lo, hi = 1e-6, 1.0 - 1e-6
 
     def residual_at(rho_x: float) -> float:
         return solve_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg).condition_residual
 
-    f_lo = residual_at(lo)
-    f_hi = residual_at(hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise BracketError(
-            "no phase boundary in range: condition residual is "
-            f"{f_lo:.6e} at rho_x={lo:g} and {f_hi:.6e} at rho_x={hi:g}"
-        )
-    return _bisect(residual_at, lo, hi, f_lo, cfg.bisection_tol)
+    return _boundary_root(residual_at, "rho_x", 1e-6, 1.0 - 1e-6, rising=False, cfg=cfg)
 
 
 def find_critical_alpha(
@@ -527,29 +531,22 @@ def find_critical_alpha(
     rho_w: float,
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> float:
-    """Smallest measurement ratio with perfect reconstruction, by bisection.
+    """Smallest measurement ratio with perfect reconstruction.
 
     The condition residual is negative at alpha = 1e-4 and must be positive
-    at alpha = 1 for a boundary to exist in the physical range.
+    at alpha = 1 for a boundary to exist in the physical range; the root
+    is pinned by Brent's method to within cfg.bisection_tol / 2.
     """
-    lo, hi = 1e-4, 1.0
 
     def residual_at(alpha: float) -> float:
         return solve_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg).condition_residual
 
-    f_lo = residual_at(lo)
-    f_hi = residual_at(hi)
-    if not (f_lo < 0.0 < f_hi):
-        raise BracketError(
-            "no phase boundary in range: condition residual is "
-            f"{f_lo:.6e} at alpha={lo:g} and {f_hi:.6e} at alpha={hi:g}"
-        )
-    return _bisect(residual_at, lo, hi, f_lo, cfg.bisection_tol)
+    return _boundary_root(residual_at, "alpha", 1e-4, 1.0, rising=True, cfg=cfg)
 
 
 @dataclass(frozen=True)
 class LambdaOptimum:
-    """Result of the penalty-weight line search."""
+    """Best probe of the penalty-weight search: a weight and its objective."""
 
     lambda_star: float
     objective_value: float
@@ -568,14 +565,15 @@ def optimize_lambda(
     sigma2_w: float = 1.0,
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> LambdaOptimum:
-    """Golden-section search for the best penalty weight.
+    """Bounded Brent search for the best penalty weight.
 
     Three objectives are supported: "critical-rho-x" maximizes the
     boundary density at fixed alpha, "critical-alpha" minimizes the
     boundary measurement ratio at fixed rho_x, and "mse" minimizes the
     reconstruction error at fixed (alpha, rho_x). The search runs on
-    log(lam) over cfg.lambda_bracket and stops when the bracket is
-    narrower than cfg.bisection_tol.
+    log(lam) over cfg.lambda_bracket with absolute tolerance
+    cfg.bisection_tol, and returns the best weight it probed together
+    with that weight's objective value.
 
     Probe weights whose perfect phase is empty (no boundary in range)
     score as the worst possible objective rather than failing: an empty
@@ -639,7 +637,6 @@ def optimize_lambda(
     else:
         raise ValueError(f"unknown objective {objective!r}")
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     lo = math.log(cfg.lambda_bracket[0])
     hi = math.log(cfg.lambda_bracket[1])
     best_score = -math.inf
@@ -653,20 +650,14 @@ def optimize_lambda(
             best = LambdaOptimum(lambda_star=math.exp(u), objective_value=value)
         return s
 
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc = probe(c)
-    fd = probe(d)
-    while hi - lo > cfg.bisection_tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = probe(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = probe(d)
-    probe(0.5 * (lo + hi))
+    # the best probe is kept, not the minimizer's own answer: it is a pair
+    # that was actually evaluated, with empty-phase plateaus scored worst
+    minimize_scalar(
+        lambda u: -probe(u),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": cfg.bisection_tol},
+    )
 
     if not math.isfinite(best.lambda_star) or math.isnan(best.objective_value):
         raise ObjectiveProbeError(

@@ -5,30 +5,150 @@ forms against quadrature oracles, identities between independent
 formulas, frozen regression values, and known-answer decodes. The suite
 is a fast subset of the full test battery, meant to certify an
 installation in seconds.
+
+The quadrature oracles defined here trade speed for an evaluation route
+independent of the closed forms in ``sparse_lab.special``. The checks
+and the tests call them; the solvers never do.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy import integrate
 
 from .decoder import DecoderConfig, ProblemInstance, decode, estimate_operator_norm
 from .replica import SystemParams, find_critical_rho_x, solve_mse_fixed_point
-from .special import (
-    QuadratureConfig,
-    gauss_expectation,
-    lemma_oracles,
-    phi_lambda_oracle,
-    q_function,
-    r_lambda,
-    s_func,
-)
+from .special import gauss_pdf, q_function, r_lambda, s_func
 
-__all__ = ["CheckResult", "run_all", "CHECKS"]
+__all__ = [
+    "CheckResult",
+    "run_all",
+    "CHECKS",
+    "QuadratureConfig",
+    "QuadratureError",
+    "DEFAULT_QUADRATURE",
+    "phi_lambda_oracle",
+    "gauss_expectation",
+    "lemma_oracles",
+]
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+# --- quadrature oracles ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Settings for the Gaussian-weighted quadrature oracles."""
+
+    abs_tol: float = 1e-10
+    max_subdivisions: int = 200
+    integration_halfwidth: float = 10.0
+
+    def __post_init__(self) -> None:
+        if not self.abs_tol > 0.0:
+            raise ValueError("abs_tol must be positive")
+        if self.max_subdivisions < 1:
+            raise ValueError("max_subdivisions must be at least 1")
+        if self.integration_halfwidth < 8.0:
+            # Gaussian mass beyond 8 standard deviations is below 1e-15
+            raise ValueError("integration_halfwidth must be at least 8")
+
+
+DEFAULT_QUADRATURE = QuadratureConfig()
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature did not reach the requested tolerance."""
+
+    def __init__(self, message: str, achieved_tol: float) -> None:
+        super().__init__(message)
+        self.achieved_tol = achieved_tol
+
+
+def phi_lambda_oracle(h_arg: float, lam: float, q_hat: float) -> float:
+    """Minimum over v of the scalar cost (q_hat/2) v^2 - h_arg v + lam |v|.
+
+    Piecewise value: zero when |h_arg| <= lam, else -(|h_arg| - lam)^2 / (2 q_hat).
+    Even in h_arg and nonpositive everywhere. Its Gaussian average ties the
+    closed form r_lambda to an integral route: for z ~ N(0, 1),
+
+        q_hat * E[phi_lambda_oracle(z * sqrt(h), lam, q_hat)] = r_lambda(lam, h).
+    """
+    if not q_hat > 0.0:
+        raise ValueError(f"phi_lambda_oracle requires q_hat > 0, got {q_hat!r}")
+    excess = abs(h_arg) - lam
+    if excess <= 0.0:
+        return 0.0
+    return -(excess * excess) / (2.0 * q_hat)
+
+
+def _checked_quad(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    config: QuadratureConfig,
+    points: Sequence[float] | None = None,
+) -> float:
+    if hi <= lo:
+        return 0.0
+    result = integrate.quad(
+        f,
+        lo,
+        hi,
+        epsabs=config.abs_tol,
+        epsrel=0.0,
+        limit=config.max_subdivisions,
+        points=points,
+        full_output=1,
+    )
+    value, abserr = result[0], result[1]
+    if abserr > config.abs_tol:
+        raise QuadratureError(
+            f"quadrature achieved absolute tolerance {abserr:.3e}, "
+            f"requested {config.abs_tol:.3e}",
+            abserr,
+        )
+    return value
+
+
+def gauss_expectation(
+    f: Callable[[float], float],
+    config: QuadratureConfig = DEFAULT_QUADRATURE,
+    breakpoints: Sequence[float] = (),
+) -> float:
+    """E[f(z)] for z ~ N(0,1) by adaptive quadrature on [-hw, hw].
+
+    breakpoints lists known kink locations of f so the subdivision can land
+    on them exactly.
+    """
+    hw = config.integration_halfwidth
+    pts = sorted(p for p in breakpoints if -hw < p < hw) or None
+    return _checked_quad(lambda z: f(z) * gauss_pdf(z), -hw, hw, config, points=pts)
+
+
+def lemma_oracles(a: float, config: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple[float, float]:
+    """Tail mass and interior second moment of the unit Gaussian at cut a.
+
+    Returns (P(|z| > a), E[z^2; |z| < a]) with both integrals evaluated by
+    adaptive quadrature. The pair certifies the closed forms 2*Q(a) and
+    1 - 2*Q(a) - a*sqrt(2/pi)*exp(-a^2/2), and s_func via the bridge
+    s(a) = a^-2 * E[z^2; |z| < a].
+    """
+    if not a > 0.0:
+        raise ValueError(f"lemma_oracles requires a > 0, got {a!r}")
+    hw = config.integration_halfwidth
+    tail = 2.0 * _checked_quad(gauss_pdf, a, max(a, hw), config)
+    interior = 2.0 * _checked_quad(lambda t: t * t * gauss_pdf(t), 0.0, min(a, hw), config)
+    return tail, interior
+
+
+# --- checks -----------------------------------------------------------------
 
 
 class CheckResult(NamedTuple):

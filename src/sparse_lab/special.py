@@ -3,33 +3,21 @@
 The fixed-point equations and the phase-boundary condition are assembled
 from three ingredients: the Gaussian tail probability, a scaled interior
 second moment ``s_func``, and a soft-threshold excess moment ``r_lambda``.
-All production entry points are closed-form, allocation-free scalar
-functions.
-
-The quadrature oracles in the second half of this module certify the
-closed forms in tests and in the command-line self-check. Production code
-must not call them; they trade speed for an independent evaluation route.
+All entry points are closed-form, allocation-free scalar functions; the
+quadrature oracles that certify them live in ``sparse_lab.selftest``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "q_function",
     "gauss_pdf",
     "s_func",
     "r_lambda",
-    "QuadratureConfig",
-    "QuadratureError",
-    "DEFAULT_QUADRATURE",
-    "phi_lambda_oracle",
-    "gauss_expectation",
-    "lemma_oracles",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -121,112 +109,3 @@ def r_lambda(lam: float, h: float) -> float:
     u = lam / math.sqrt(h)
     bracket = u - (u * u + 1.0) * _SQRT_PI_2 * float(special.erfcx(u * _INV_SQRT2_HI))
     return h * gauss_pdf(u) * bracket
-
-
-# --- quadrature oracles (test and self-check support only) -----------------
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Settings for the Gaussian-weighted quadrature oracles."""
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 200
-    integration_halfwidth: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-        if self.integration_halfwidth < 8.0:
-            # Gaussian mass beyond 8 standard deviations is below 1e-15
-            raise ValueError("integration_halfwidth must be at least 8")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved_tol: float) -> None:
-        super().__init__(message)
-        self.achieved_tol = achieved_tol
-
-
-def phi_lambda_oracle(h_arg: float, lam: float, q_hat: float) -> float:
-    """Minimum over v of the scalar cost (q_hat/2) v^2 - h_arg v + lam |v|.
-
-    Piecewise value: zero when |h_arg| <= lam, else -(|h_arg| - lam)^2 / (2 q_hat).
-    Even in h_arg and nonpositive everywhere. Its Gaussian average ties the
-    closed form r_lambda to an integral route: for z ~ N(0, 1),
-
-        q_hat * E[phi_lambda_oracle(z * sqrt(h), lam, q_hat)] = r_lambda(lam, h).
-    """
-    if not q_hat > 0.0:
-        raise ValueError(f"phi_lambda_oracle requires q_hat > 0, got {q_hat!r}")
-    excess = abs(h_arg) - lam
-    if excess <= 0.0:
-        return 0.0
-    return -(excess * excess) / (2.0 * q_hat)
-
-
-def _checked_quad(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    config: QuadratureConfig,
-    points: Sequence[float] | None = None,
-) -> float:
-    if hi <= lo:
-        return 0.0
-    result = integrate.quad(
-        f,
-        lo,
-        hi,
-        epsabs=config.abs_tol,
-        epsrel=0.0,
-        limit=config.max_subdivisions,
-        points=points,
-        full_output=1,
-    )
-    value, abserr = result[0], result[1]
-    if abserr > config.abs_tol:
-        raise QuadratureError(
-            f"quadrature achieved absolute tolerance {abserr:.3e}, "
-            f"requested {config.abs_tol:.3e}",
-            abserr,
-        )
-    return value
-
-
-def gauss_expectation(
-    f: Callable[[float], float],
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-    breakpoints: Sequence[float] = (),
-) -> float:
-    """E[f(z)] for z ~ N(0,1) by adaptive quadrature on [-hw, hw].
-
-    breakpoints lists known kink locations of f so the subdivision can land
-    on them exactly.
-    """
-    hw = config.integration_halfwidth
-    pts = sorted(p for p in breakpoints if -hw < p < hw) or None
-    return _checked_quad(lambda z: f(z) * gauss_pdf(z), -hw, hw, config, points=pts)
-
-
-def lemma_oracles(a: float, config: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple[float, float]:
-    """Tail mass and interior second moment of the unit Gaussian at cut a.
-
-    Returns (P(|z| > a), E[z^2; |z| < a]) with both integrals evaluated by
-    adaptive quadrature. The pair certifies the closed forms 2*Q(a) and
-    1 - 2*Q(a) - a*sqrt(2/pi)*exp(-a^2/2), and s_func via the bridge
-    s(a) = a^-2 * E[z^2; |z| < a].
-    """
-    if not a > 0.0:
-        raise ValueError(f"lemma_oracles requires a > 0, got {a!r}")
-    hw = config.integration_halfwidth
-    tail = 2.0 * _checked_quad(gauss_pdf, a, max(a, hw), config)
-    interior = 2.0 * _checked_quad(lambda t: t * t * gauss_pdf(t), 0.0, min(a, hw), config)
-    return tail, interior

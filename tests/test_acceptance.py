@@ -30,14 +30,8 @@ from sparse_lab.replica import (
     optimize_lambda,
     solve_mse_fixed_point,
 )
-from sparse_lab.special import (
-    gauss_expectation,
-    lemma_oracles,
-    phi_lambda_oracle,
-    q_function,
-    r_lambda,
-    s_func,
-)
+from sparse_lab.selftest import gauss_expectation, lemma_oracles, phi_lambda_oracle
+from sparse_lab.special import q_function, r_lambda, s_func
 
 _WORKERS = os.cpu_count() or 1
 

@@ -175,6 +175,24 @@ class TestThresholdFixedPoint:
         direct = solve_threshold_fixed_point(0.5, 1.0, 0.05, 0.1)
         np.testing.assert_allclose(state.condition_residual, direct.condition_residual, rtol=1e-12)
 
+    def test_boundary_roots_within_half_tolerance(self):
+        """At the default tolerance both boundary searches land within
+        bisection_tol / 2 of the same search run at a far tighter one."""
+        tight = SolverConfig(bisection_tol=1e-12)
+        half = SolverConfig().bisection_tol / 2
+        # the criterion-10 cells at lam = 1
+        for rho_x in (0.05, 0.1, 0.15, 0.2, 0.25):
+            for delta in (0.2, 0.1, 0.02):
+                rho_w = delta * rho_x
+                coarse = find_critical_alpha(1.0, rho_x, rho_w)
+                assert abs(coarse - find_critical_alpha(1.0, rho_x, rho_w, tight)) <= half
+        for alpha, lam, rho_w in ((0.5, 1.0, 0.1), (0.7, 0.6, 0.05), (0.4, 1.5, 0.2)):
+            coarse = find_critical_rho_x(alpha, lam, rho_w)
+            assert abs(coarse - find_critical_rho_x(alpha, lam, rho_w, tight)) <= half
+            rho_x = 0.5 * coarse
+            coarse = find_critical_alpha(lam, rho_x, rho_w)
+            assert abs(coarse - find_critical_alpha(lam, rho_x, rho_w, tight)) <= half
+
     def test_bracket_error(self):
         """A penalty too weak to ever reconstruct leaves no sign change."""
         with pytest.raises(BracketError) as info:
@@ -252,6 +270,13 @@ class TestOptimizeLambda:
         for lam in (0.3, 0.7, 1.0, 2.0):
             state = solve_mse_fixed_point(SystemParams(lam=lam, **params))
             assert opt.objective_value <= state.mse + 1e-8, lam
+
+    def test_returns_probed_pair(self):
+        """The optimum is a weight that was evaluated, with its own value."""
+        opt = optimize_lambda("critical-rho-x", alpha=0.5, rho_w=0.1)
+        assert opt.objective_value == find_critical_rho_x(0.5, opt.lambda_star, 0.1)
+        opt = optimize_lambda("critical-alpha", rho_x=0.15, rho_w=0.015)
+        assert opt.objective_value == find_critical_alpha(opt.lambda_star, 0.15, 0.015)
 
     def test_argument_requirements(self):
         with pytest.raises(ValueError):

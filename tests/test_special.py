@@ -11,18 +11,15 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from sparse_lab.special import (
+from sparse_lab.selftest import (
     DEFAULT_QUADRATURE,
     QuadratureConfig,
     QuadratureError,
     gauss_expectation,
-    gauss_pdf,
     lemma_oracles,
     phi_lambda_oracle,
-    q_function,
-    r_lambda,
-    s_func,
 )
+from sparse_lab.special import gauss_pdf, q_function, r_lambda, s_func
 
 mp.dps = 60
 
