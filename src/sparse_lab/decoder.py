@@ -4,12 +4,13 @@ Solves
 
     min_x  ||y - A x||_1 + lam ||x||_1
 
-with the Chambolle-Pock first-order scheme. Both objective terms are
-polyhedral, so the iteration converges linearly and exact optimality can
-be certified: a subgradient vector is assembled from the dual iterate and
-its stationarity violation is measured in the max norm. The decoder only
-reports success when that certificate passes together with small
-primal-dual residuals.
+with the Chambolle-Pock first-order scheme, finished by one exact HiGHS
+vertex after _LP_HANDOFF uncertified sweeps. Both objective terms are
+polyhedral, so exact optimality can be certified: a subgradient vector is
+assembled from a dual vector and its stationarity violation is measured in
+the max norm. The decoder only reports success when that certificate
+passes together with small primal-dual residuals, whichever of the
+iteration or the linear program produced the point.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.optimize import linprog
 
 __all__ = [
     "ProblemInstance",
@@ -37,11 +39,11 @@ _ACTIVE_RESIDUAL_SCALE = 1e-8
 # Estimates below this magnitude count as zero in the certificate.
 _SUPPORT_EPS_SCALE = 1e-12
 
-# Rows within this multiple of the measurement scale are treated as tight
-# when building a polished candidate, and the polish is attempted on every
-# _POLISH_STRIDE-th optimality check.
-_POLISH_RESIDUAL_SCALE = 1e-5
-_POLISH_STRIDE = 5
+# A run still uncertified after this many sweeps is finished by one exact
+# linear-programming solve. Inside the perfect-recovery phase the iteration
+# certifies in a few hundred sweeps, cheaper than the LP; outside it the
+# iteration crawls for tens of thousands.
+_LP_HANDOFF = 500
 
 _POWER_SEED = 0x5EED
 
@@ -127,10 +129,10 @@ DEFAULT_DECODER = DecoderConfig()
 class DecodeResult:
     """Decoder output.
 
-    x_hat is the certified iterate when converged is True, otherwise the
-    best-objective iterate encountered. objective_trace records the
-    best-so-far objective at each certificate check and is nonincreasing
-    by construction.
+    x_hat is the certified point when converged is True, either an iterate
+    or the LP vertex, otherwise the best-objective iterate encountered.
+    objective_trace records the best-so-far objective at each certificate
+    check and is nonincreasing by construction.
     """
 
     x_hat: np.ndarray
@@ -242,31 +244,30 @@ def _complementarity_gap(residual: np.ndarray, xi: np.ndarray) -> float:
     return float(np.max(np.abs(residual) + residual * xi, initial=0.0))
 
 
-def _polished_candidate(
-    a: np.ndarray,
-    y: np.ndarray,
-    x: np.ndarray,
-    residual: np.ndarray,
-    zero_eps: float,
-) -> np.ndarray | None:
-    """Snap nearly-satisfied measurement rows to exact equality.
+def _lp_vertex(a: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Exact minimizer and dual iterate from one HiGHS solve, or None.
 
-    The first-order iteration identifies the optimal active set long
-    before the residuals on it decay to zero. Re-solving the estimate on
-    its current support against the rows whose residuals are already
-    small produces the exact vertex the iterates are crawling toward; the
-    caller accepts it only if the objective does not get worse and the
-    optimality certificate passes.
+    Splits x = x+ - x- and the residual y - A x = r+ - r- into nonnegative
+    parts, so the problem reads min lam 1'(x+ + x-) + 1'(r+ + r-) subject
+    to [A, -A, I, -I] (x+, x-, r+, r-) = y. The equality duals u are the
+    subgradient of ||y - A x||_1, so the decoder's dual iterate is -u.
+    Returns None unless HiGHS reports an optimal solution.
     """
-    support = x != 0.0
-    zero_rows = np.abs(residual) <= zero_eps
-    n_support = int(np.count_nonzero(support))
-    if n_support == 0 or int(np.count_nonzero(zero_rows)) < n_support:
+    m, n = a.shape
+    eye = np.eye(m)
+    # presolve removes nothing from these dense programs and costs about a
+    # third of the solve time
+    res = linprog(
+        np.concatenate([np.full(2 * n, lam), np.ones(2 * m)]),
+        A_eq=np.hstack([a, -a, eye, -eye]),
+        b_eq=y,
+        bounds=(0.0, None),
+        method="highs",
+        options={"presolve": False},
+    )
+    if res.status != 0:
         return None
-    solution, *_ = np.linalg.lstsq(a[np.ix_(zero_rows, support)], y[zero_rows], rcond=None)
-    polished = np.zeros_like(x)
-    polished[support] = solution
-    return polished
+    return res.x[:n] - res.x[n : 2 * n], -res.eqlin.marginals
 
 
 def decode(
@@ -283,12 +284,13 @@ def decode(
     certificate scaled by 1 + ||A^T sign(y)||_inf and the dual residual
     is the worst complementary-slackness violation scaled by
     1 + ||y||_inf; the run counts as converged only when both fall below
-    their tolerances. Rows whose residuals are still creeping toward
-    zero stall the certificate, so checks periodically evaluate a
-    polished candidate re-solved on the current support; it is adopted
-    only if it does not worsen the objective and passes both tests
-    itself. Exhausting max_iters returns a result with converged=False
-    rather than raising. A zero measurement matrix is rejected.
+    their tolerances. A run still uncertified after _LP_HANDOFF sweeps is
+    finished by one exact HiGHS vertex with its equality duals; the vertex
+    is adopted, with iterations = _LP_HANDOFF, only if it does not worsen
+    the best objective seen and passes both tests itself. Otherwise the
+    iteration goes on. Exhausting max_iters returns a result with
+    converged=False rather than raising. A zero measurement matrix is
+    rejected.
     """
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam!r}")
@@ -320,7 +322,13 @@ def decode(
     active_eps = _ACTIVE_RESIDUAL_SCALE * y_scale
     support_eps = _SUPPORT_EPS_SCALE
     cert_scale = 1.0 + float(np.max(np.abs(a.T @ np.sign(y))))
-    polish_eps = _POLISH_RESIDUAL_SCALE * y_scale
+
+    def score(x: np.ndarray, xi: np.ndarray) -> tuple[float, float, float, float]:
+        """Objective, certificate norm and both scaled residuals of (x, xi)."""
+        residual = y - a @ x
+        obj = float(np.sum(np.abs(residual)) + lam * np.sum(np.abs(x)))
+        cert = _certificate_norm(a, x, xi, residual, lam, active_eps, support_eps)
+        return obj, cert, cert / cert_scale, _complementarity_gap(residual, xi) / y_scale
 
     x = np.zeros(instance.n)
     xi = np.zeros(instance.m)
@@ -331,13 +339,7 @@ def decode(
     trace: list[float] = [best_obj]
 
     converged = False
-    final_x = x
-    final_obj = best_obj
-    primal_res = math.inf
-    dual_res = math.inf
-    cert = math.inf
     iterations = 0
-    checks = 0
 
     for sweep in range(1, cfg.max_iters + 1):
         iterations = sweep
@@ -346,46 +348,32 @@ def decode(
         xi_new = np.clip(xi + sigma * (a @ x_bar - y), -1.0, 1.0)
         at_xi_new = a.T @ xi_new
 
-        check_now = sweep % cfg.check_every == 0 or sweep == cfg.max_iters
-        if check_now:
-            checks += 1
-            residual = y - a @ x_new
-            obj = float(np.sum(np.abs(residual)) + lam * np.sum(np.abs(x_new)))
-            if obj < best_obj:
-                best_obj = obj
+        if sweep % cfg.check_every == 0 or sweep == cfg.max_iters:
+            final_x = x_new
+            final_obj, cert, primal_res, dual_res = score(x_new, xi_new)
+            if final_obj < best_obj:
+                best_obj = final_obj
                 best_x = x_new.copy()
             trace.append(best_obj)
-
-            cert = _certificate_norm(a, x_new, xi_new, residual, lam, active_eps, support_eps)
-            primal_res = cert / cert_scale
-            dual_res = _complementarity_gap(residual, xi_new) / y_scale
             if primal_res <= cfg.primal_tol and dual_res <= cfg.dual_tol:
-                final_x = x_new
-                final_obj = obj
                 converged = True
                 break
 
-            if checks % _POLISH_STRIDE == 0 or sweep == cfg.max_iters:
-                polished = _polished_candidate(a, y, x_new, residual, polish_eps)
-                if polished is not None:
-                    residual_p = y - a @ polished
-                    obj_p = float(np.sum(np.abs(residual_p)) + lam * np.sum(np.abs(polished)))
-                    if obj_p <= best_obj:
-                        cert_p = _certificate_norm(
-                            a, polished, xi_new, residual_p, lam, active_eps, support_eps
-                        )
-                        comp_p = _complementarity_gap(residual_p, xi_new)
-                        if cert_p <= cfg.primal_tol * cert_scale and comp_p <= cfg.dual_tol * y_scale:
-                            if obj_p < best_obj:
-                                best_obj = obj_p
-                                trace.append(best_obj)
-                            final_x = polished
-                            final_obj = obj_p
-                            cert = cert_p
-                            primal_res = cert_p / cert_scale
-                            dual_res = comp_p / y_scale
-                            converged = True
-                            break
+        if sweep == _LP_HANDOFF:
+            vertex = _lp_vertex(a, y, lam)
+            if vertex is not None:
+                final_x, xi_lp = vertex
+                final_obj, cert, primal_res, dual_res = score(final_x, xi_lp)
+                if (
+                    final_obj <= best_obj
+                    and primal_res <= cfg.primal_tol
+                    and dual_res <= cfg.dual_tol
+                ):
+                    if final_obj < best_obj:
+                        best_obj = final_obj
+                        trace.append(best_obj)
+                    converged = True
+                    break
 
         x = x_new
         xi = xi_new
@@ -394,11 +382,7 @@ def decode(
     if not converged:
         # report the best point seen, with its own residuals
         final_x = best_x
-        residual = y - a @ final_x
-        final_obj = float(np.sum(np.abs(residual)) + lam * np.sum(np.abs(final_x)))
-        cert = _certificate_norm(a, final_x, xi, residual, lam, active_eps, support_eps)
-        primal_res = cert / cert_scale
-        dual_res = _complementarity_gap(residual, xi) / y_scale
+        final_obj, cert, primal_res, dual_res = score(final_x, xi)
 
     return DecodeResult(
         x_hat=final_x,

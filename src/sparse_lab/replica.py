@@ -495,6 +495,7 @@ def _boundary_root(
 
     rising says the residual must be negative at lo and positive at hi;
     otherwise the reverse. The root is pinned to within cfg.bisection_tol / 2.
+    Each end is solved once: Brent's method gets the stored end values.
     """
     f_lo = residual_at(lo)
     f_hi = residual_at(hi)
@@ -503,7 +504,10 @@ def _boundary_root(
             "no phase boundary in range: condition residual is "
             f"{f_lo:.6e} at {name}={lo:g} and {f_hi:.6e} at {name}={hi:g}"
         )
-    return brentq(residual_at, lo, hi, xtol=cfg.bisection_tol / 2)
+    ends = {lo: f_lo, hi: f_hi}
+    return brentq(
+        lambda v: ends[v] if v in ends else residual_at(v), lo, hi, xtol=cfg.bisection_tol / 2
+    )
 
 
 def find_critical_rho_x(

@@ -1,9 +1,12 @@
-"""Primal-dual decoder: known answers, optimality, certificates."""
+"""Primal-dual decoder: known answers, optimality, certificates, LP finish."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from _oracle import grid_objective, lp_decode, random_tiny_instance
+from sparse_lab import decoder
 from sparse_lab.decoder import (
     DecoderConfig,
     ProblemInstance,
@@ -11,6 +14,14 @@ from sparse_lab.decoder import (
     estimate_operator_norm,
     evaluate_objective,
 )
+
+
+def _crawling_instance():
+    """24 x 48 instance the primal-dual iteration certifies only after 4,350 sweeps."""
+    rng = np.random.default_rng(29)
+    a = rng.normal(size=(24, 48)) / np.sqrt(48)
+    x0 = np.where(rng.random(48) < 0.1, rng.normal(size=48), 0.0)
+    return ProblemInstance(A=a, y=a @ x0 + np.where(rng.random(24) < 0.1, 1.0, 0.0))
 
 
 class TestOperatorNorm:
@@ -124,18 +135,51 @@ class TestLpReference:
             value = evaluate_objective(ProblemInstance(A=a, y=y), x, lam)
             np.testing.assert_allclose(value, grid_objective(a, y, lam), atol=1e-5)
 
-    def test_matches_certified_decode(self):
-        rng = np.random.default_rng(29)
-        a = rng.normal(size=(24, 48)) / np.sqrt(48)
-        x0 = np.where(rng.random(48) < 0.1, rng.normal(size=48), 0.0)
-        instance = ProblemInstance(A=a, y=a @ x0 + np.where(rng.random(24) < 0.1, 1.0, 0.0))
-        result = decode(instance, 1.0, DecoderConfig(primal_tol=1e-9, dual_tol=1e-9))
+    def test_matches_certified_decode(self, monkeypatch):
+        """The pure primal-dual iteration, with the LP finish pushed past the budget."""
+        instance = _crawling_instance()
+        cfg = DecoderConfig(primal_tol=1e-9, dual_tol=1e-9)
+        handoff = decoder._LP_HANDOFF
+        monkeypatch.setattr(decoder, "_LP_HANDOFF", cfg.max_iters + 1)
+        result = decode(instance, 1.0, cfg)
         assert result.converged
+        assert result.iterations > handoff
         x = lp_decode(instance.A, instance.y, 1.0)
         np.testing.assert_allclose(
             evaluate_objective(instance, x, 1.0), result.objective, rtol=1e-9
         )
         np.testing.assert_allclose(x, result.x_hat, atol=1e-6)
+
+
+class TestExactFinish:
+    """Runs still uncertified after _LP_HANDOFF sweeps are finished by HiGHS."""
+
+    def test_crawling_run_takes_the_lp_vertex(self):
+        instance = _crawling_instance()
+        cfg = DecoderConfig(primal_tol=1e-9, dual_tol=1e-9)
+        result = decode(instance, 1.0, cfg)
+        assert result.converged
+        assert result.iterations == decoder._LP_HANDOFF == 500
+        assert result.primal_residual <= cfg.primal_tol
+        assert result.dual_residual <= cfg.dual_tol
+        x = lp_decode(instance.A, instance.y, 1.0)
+        np.testing.assert_allclose(
+            result.objective, evaluate_objective(instance, x, 1.0), rtol=1e-9
+        )
+        assert result.objective_trace[-1] == result.objective
+
+    def test_failed_solve_keeps_iterating(self, monkeypatch):
+        calls = []
+
+        def failing_linprog(*args, **kwargs):
+            calls.append(1)
+            return SimpleNamespace(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(decoder, "linprog", failing_linprog)
+        result = decode(_crawling_instance(), 1.0, DecoderConfig(max_iters=600))
+        assert len(calls) == 1
+        assert result.converged is False
+        assert result.iterations == 600
 
 
 class TestBehavior:

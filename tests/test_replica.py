@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from sparse_lab.replica import (
     BracketError,
@@ -17,6 +18,7 @@ from sparse_lab.replica import (
     solve_mse_fixed_point,
     solve_threshold_fixed_point,
     threshold_state_for,
+    _boundary_root,
 )
 
 
@@ -192,6 +194,26 @@ class TestThresholdFixedPoint:
             rho_x = 0.5 * coarse
             coarse = find_critical_alpha(lam, rho_x, rho_w)
             assert abs(coarse - find_critical_alpha(lam, rho_x, rho_w, tight)) <= half
+
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_boundary_root_solves_each_abscissa_once(self, rising):
+        """The end values of the bracket check are handed on to Brent's
+        method, and the root is the one Brent's method finds alone."""
+        cfg = SolverConfig()
+        sign = 1.0 if rising else -1.0
+
+        def residual(t):
+            return sign * float(np.tanh(4.0 * (t - 0.3)))
+
+        seen = []
+
+        def counting(t):
+            seen.append(t)
+            return residual(t)
+
+        root = _boundary_root(counting, "t", 1e-4, 1.0, rising, cfg)
+        assert len(seen) == len(set(seen))
+        assert root == brentq(residual, 1e-4, 1.0, xtol=cfg.bisection_tol / 2)
 
     def test_bracket_error(self):
         """A penalty too weak to ever reconstruct leaves no sign change."""
