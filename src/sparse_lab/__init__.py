@@ -43,12 +43,9 @@ from .replica import (
     ThresholdState,
     find_critical_alpha,
     find_critical_rho_x,
-    initial_state,
-    iterate_mse_step,
     optimize_lambda,
     solve_mse_fixed_point,
     solve_threshold_fixed_point,
-    threshold_state_for,
 )
 from .special import gauss_pdf, q_function, r_lambda, s_func
 
@@ -71,11 +68,8 @@ __all__ = [
     "BracketError",
     "ObjectiveProbeError",
     "LambdaOptimum",
-    "initial_state",
-    "iterate_mse_step",
     "solve_mse_fixed_point",
     "solve_threshold_fixed_point",
-    "threshold_state_for",
     "find_critical_rho_x",
     "find_critical_alpha",
     "optimize_lambda",

@@ -45,6 +45,9 @@ _SUPPORT_EPS_SCALE = 1e-12
 # iteration crawls for tens of thousands.
 _LP_HANDOFF = 500
 
+# Sweeps between certificate checks.
+_CHECK_EVERY = 50
+
 _POWER_SEED = 0x5EED
 
 
@@ -103,7 +106,6 @@ class DecoderConfig:
     max_iters: int = 100_000
     power_iters: int = 200
     power_tol: float = 1e-12
-    check_every: int = 50
 
     def __post_init__(self) -> None:
         if not 0.0 < self.step_scale < 1.0:
@@ -118,8 +120,6 @@ class DecoderConfig:
             raise ValueError(f"power_iters must be at least 1, got {self.power_iters!r}")
         if not self.power_tol > 0.0:
             raise ValueError(f"power_tol must be positive, got {self.power_tol!r}")
-        if self.check_every < 1:
-            raise ValueError(f"check_every must be at least 1, got {self.check_every!r}")
 
 
 DEFAULT_DECODER = DecoderConfig()
@@ -280,7 +280,7 @@ def decode(
     Runs the primal-dual iteration with steps tau = sigma =
     step_scale / ||A||_2 and extrapolation weight 1, starting from x = 0
     and a zero dual vector, with optimality checks every
-    cfg.check_every sweeps. The primal residual is the subgradient
+    _CHECK_EVERY sweeps. The primal residual is the subgradient
     certificate scaled by 1 + ||A^T sign(y)||_inf and the dual residual
     is the worst complementary-slackness violation scaled by
     1 + ||y||_inf; the run counts as converged only when both fall below
@@ -348,7 +348,7 @@ def decode(
         xi_new = np.clip(xi + sigma * (a @ x_bar - y), -1.0, 1.0)
         at_xi_new = a.T @ xi_new
 
-        if sweep % cfg.check_every == 0 or sweep == cfg.max_iters:
+        if sweep % _CHECK_EVERY == 0 or sweep == cfg.max_iters:
             final_x = x_new
             final_obj, cert, primal_res, dual_res = score(x_new, xi_new)
             if final_obj < best_obj:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
@@ -181,11 +183,6 @@ def run_trial(
     )
 
 
-def _run_trial_packed(args: tuple[EnsembleSpec, int, DecoderConfig]) -> TrialSummary:
-    spec, trial_index, decoder_cfg = args
-    return run_trial(spec, trial_index, decoder_cfg)
-
-
 def run_monte_carlo(
     spec: EnsembleSpec,
     decoder_cfg: DecoderConfig = DEFAULT_DECODER,
@@ -204,19 +201,15 @@ def run_monte_carlo(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
 
-    jobs = [(spec, i, decoder_cfg) for i in range(spec.trials)]
+    serial = workers == 1 or spec.trials == 1
     summaries: list[TrialSummary] = []
-    if workers == 1 or spec.trials == 1:
-        for done, job in enumerate(jobs, start=1):
-            summaries.append(_run_trial_packed(job))
+    with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
+        mapper = map if serial else pool.map
+        trials = mapper(run_trial, repeat(spec), range(spec.trials), repeat(decoder_cfg))
+        for done, summary in enumerate(trials, start=1):
+            summaries.append(summary)
             if progress is not None:
                 progress(done, spec.trials)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for done, summary in enumerate(pool.map(_run_trial_packed, jobs), start=1):
-                summaries.append(summary)
-                if progress is not None:
-                    progress(done, spec.trials)
 
     errors = [s.squared_error for s in summaries]
     mean_mse = sum(errors) / len(errors)

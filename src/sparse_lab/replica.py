@@ -15,20 +15,24 @@ M/N -> alpha. Two coupled descriptions are implemented:
   reconstruction phase, whose stability condition locates the phase
   boundary.
 
-Both are solved by damped forward iteration. The boundary is then pinned
-in rho_x or alpha by Brent's root finder (scipy's brentq), and Brent's
-bounded minimizer (scipy's minimize_scalar) tunes the penalty weight lam.
+Both are solved by one damped forward iteration, _damped_iteration, whose
+budget counts accepted sweeps; the overlap diagnostics of the error fixed
+point are evaluated once, for the state a solve returns or raises. The
+boundary is then pinned in rho_x or alpha by Brent's root finder (scipy's
+brentq), and Brent's bounded minimizer (scipy's minimize_scalar) tunes the
+penalty weight lam.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Literal
 
 from scipy.optimize import brentq, minimize_scalar
 
-from .special import gauss_pdf, q_function, r_lambda, s_func
+from .special import q_function, r_lambda, s_func
 
 __all__ = [
     "SystemParams",
@@ -40,11 +44,8 @@ __all__ = [
     "BracketError",
     "ObjectiveProbeError",
     "LambdaOptimum",
-    "initial_state",
-    "iterate_mse_step",
     "solve_mse_fixed_point",
     "solve_threshold_fixed_point",
-    "threshold_state_for",
     "find_critical_rho_x",
     "find_critical_alpha",
     "optimize_lambda",
@@ -52,12 +53,13 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# Divergence verdict: m_hat grows without bound and the error collapses.
+# Divergence verdict on (mse, chi, m_hat, chi_hat): m_hat grows without
+# bound and the error collapses.
 _PERFECT_M_HAT = 1e12
 _PERFECT_MSE = 1e-24
 
-# Consecutive retries with a halved step before giving up on a sweep that
-# produced a non-finite value.
+# Retries with a halved step, per solve, before giving up on sweeps that
+# produce non-finite values.
 _MAX_DAMPING_RETRIES = 4
 
 _SWEEP_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
@@ -135,14 +137,15 @@ DEFAULT_SOLVER = SolverConfig()
 
 @dataclass(frozen=True)
 class FixedPointState:
-    """One iterate of the four-variable mean square error fixed point.
+    """Result of the four-variable mean square error fixed point.
 
     diag_m is the signal-estimate overlap and diag_q the estimate
-    self-overlap; at any fixed point they satisfy
-    mse = signal_power - 2 diag_m + diag_q. residual is the largest
-    relative change of the four variables in the producing sweep. perfect
-    marks the divergence verdict: m_hat runs away while mse collapses, the
-    signature of exact reconstruction.
+    self-overlap, both evaluated at this state; at any fixed point they
+    satisfy mse = signal_power - 2 diag_m + diag_q. residual is the largest
+    relative change of the four variables in the producing sweep, and
+    iterations counts accepted sweeps. perfect marks the divergence
+    verdict: m_hat runs away while mse collapses, the signature of exact
+    reconstruction.
     """
 
     mse: float
@@ -190,10 +193,6 @@ class ObjectiveProbeError(RuntimeError):
     def __init__(self, message: str, lam: float) -> None:
         super().__init__(message)
         self.lam = lam
-
-
-def _relative_change(new: float, old: float) -> float:
-    return abs(new - old) / max(abs(new), abs(old), 1e-300)
 
 
 def _interior_moment_pair(t: float) -> float:
@@ -247,50 +246,36 @@ def _diagnostics(p: SystemParams, m_hat: float, chi_hat: float) -> tuple[float, 
     return diag_m, diag_q
 
 
-def initial_state(params: SystemParams) -> FixedPointState:
-    """Standard starting iterate: the error of the all-zero estimate."""
-    diag_m, diag_q = _diagnostics(params, 1.0, params.alpha)
-    return FixedPointState(
-        mse=params.signal_power,
-        chi=1.0,
-        m_hat=1.0,
-        chi_hat=params.alpha,
-        diag_m=diag_m,
-        diag_q=diag_q,
-        residual=math.inf,
-        converged=False,
-        iterations=0,
-    )
+def _mse_start(params: SystemParams) -> tuple[float, float, float, float]:
+    """Standard starting iterate (mse, chi, m_hat, chi_hat): the all-zero estimate."""
+    return params.signal_power, 1.0, 1.0, params.alpha
 
 
-def iterate_mse_step(
-    params: SystemParams,
-    state: FixedPointState,
-    damping: float = 0.5,
-) -> FixedPointState:
-    """One damped sweep of the four update equations.
+def _mse_sweep(p: SystemParams, values: tuple[float, ...], damping: float) -> tuple[float, ...]:
+    """One damped sweep of the four update equations over (mse, chi, m_hat, chi_hat).
 
     The sweep is sequential: chi uses the incoming m_hat and chi_hat, the
     conjugate pair uses the fresh mse and chi. Each variable is blended as
     new = (1 - damping) * update + damping * old. Raises the underlying
-    ValueError or OverflowError if the incoming state has diverged beyond
-    floating point range.
+    ValueError or OverflowError if the incoming values have diverged beyond
+    floating point range, and ValueError if the overlap diagnostics are
+    undefined at the new values.
     """
-    p = params
+    mse_old, chi_old, m_hat_old, chi_hat_old = values
     keep = damping
     mix = 1.0 - damping
 
-    mse_raw = math.fsum(_mse_terms(p, state.m_hat, state.chi_hat))
-    mse = mix * mse_raw + keep * state.mse
+    mse_raw = math.fsum(_mse_terms(p, m_hat_old, chi_hat_old))
+    mse = mix * mse_raw + keep * mse_old
 
-    wide = state.chi_hat + p.sigma2_x * state.m_hat * state.m_hat
+    wide = chi_hat_old + p.sigma2_x * m_hat_old * m_hat_old
     acc = 0.0
     if p.rho_x < 1.0:
-        acc += (1.0 - p.rho_x) * q_function(p.lam / math.sqrt(state.chi_hat))
+        acc += (1.0 - p.rho_x) * q_function(p.lam / math.sqrt(chi_hat_old))
     if p.rho_x > 0.0:
         acc += p.rho_x * q_function(p.lam / math.sqrt(wide))
-    chi_raw = 2.0 * acc / state.m_hat
-    chi = mix * chi_raw + keep * state.chi
+    chi_raw = 2.0 * acc / m_hat_old
+    chi = mix * chi_raw + keep * chi_old
 
     t_clean = chi / math.sqrt(mse) if mse > 0.0 else math.inf
     t_noisy = chi / math.sqrt(mse + p.sigma2_w)
@@ -304,80 +289,97 @@ def iterate_mse_step(
         weight = p.alpha * p.rho_w
         m_acc += weight * math.erf(t_noisy / _SQRT2)
         h_acc += weight * _interior_moment_pair(t_noisy)
-    m_hat = mix * (m_acc / chi) + keep * state.m_hat
-    chi_hat = mix * h_acc + keep * state.chi_hat
-
-    residual = max(
-        _relative_change(mse, state.mse),
-        _relative_change(chi, state.chi),
-        _relative_change(m_hat, state.m_hat),
-        _relative_change(chi_hat, state.chi_hat),
-    )
-    diag_m, diag_q = _diagnostics(p, m_hat, chi_hat)
-    return FixedPointState(
-        mse=mse,
-        chi=chi,
-        m_hat=m_hat,
-        chi_hat=chi_hat,
-        diag_m=diag_m,
-        diag_q=diag_q,
-        residual=residual,
-        converged=False,
-        iterations=state.iterations + 1,
-    )
+    m_hat = mix * (m_acc / chi) + keep * m_hat_old
+    chi_hat = mix * h_acc + keep * chi_hat_old
+    wide_new = chi_hat + p.sigma2_x * m_hat * m_hat
+    if not (m_hat * m_hat > 0.0 and (chi_hat if p.rho_x < 1.0 else wide_new) > 0.0):
+        raise ValueError("overlap diagnostics undefined at the new iterate")
+    return mse, chi, m_hat, chi_hat
 
 
-def _state_is_finite(state: FixedPointState) -> bool:
-    return (
-        math.isfinite(state.mse)
-        and math.isfinite(state.chi)
-        and math.isfinite(state.m_hat)
-        and math.isfinite(state.chi_hat)
-    )
+def _damped_iteration(
+    sweep: Callable[[tuple[float, ...], float], tuple[float, ...]],
+    values: tuple[float, ...],
+    cfg: SolverConfig,
+    stop: Callable[[tuple[float, ...]], bool] | None = None,
+) -> tuple[tuple[float, ...], float, int, str]:
+    """Iterate values = sweep(values, damping) from cfg.damping.
+
+    Returns (values, residual, iterations, outcome). residual is the
+    largest relative change in the sweep that produced values (inf before
+    the first), and iterations counts accepted sweeps: a sweep that raises
+    or yields a non-finite value is discarded and retried with its step
+    halved, at most _MAX_DAMPING_RETRIES times per solve. outcome is
+    "converged" once residual <= cfg.rel_tol, "stopped" when stop(values)
+    holds before a sweep, "non-finite" when the retries run out and
+    "budget" after cfg.max_iters accepted sweeps.
+    """
+    damping = cfg.damping
+    retries = iterations = 0
+    residual = math.inf
+    while iterations < cfg.max_iters:
+        if stop is not None and stop(values):
+            return values, residual, iterations, "stopped"
+        try:
+            new = sweep(values, damping)
+        except _SWEEP_ERRORS:
+            new = None
+        if new is not None:
+            # old is finite, so a change is NaN exactly when x is not; the sum keeps
+            # the NaN. The scale max(|x|, |old|, 1e-300) is spelled out for speed.
+            total = largest = 0.0
+            for x, old in zip(new, values):
+                a, b = abs(x), abs(old)
+                change = abs(x - old) / (a if a > b and a > 1e-300 else b if b > 1e-300 else 1e-300)
+                total += change
+                if change > largest:
+                    largest = change
+        if new is None or math.isnan(total):
+            if retries >= _MAX_DAMPING_RETRIES:
+                return values, residual, iterations, "non-finite"
+            retries += 1
+            damping = 1.0 - 0.5 * (1.0 - damping)
+            continue
+        iterations += 1
+        values, residual = new, largest
+        if residual <= cfg.rel_tol:
+            return values, residual, iterations, "converged"
+    return values, residual, iterations, "budget"
 
 
-def solve_mse_fixed_point(
-    params: SystemParams,
-    cfg: SolverConfig = DEFAULT_SOLVER,
-    start: FixedPointState | None = None,
-) -> FixedPointState:
+def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLVER) -> FixedPointState:
     """Iterate the mse fixed point to convergence or a divergence verdict.
 
     Returns a state with converged=True when the largest relative change
     falls below cfg.rel_tol, or with perfect=True when m_hat exceeds 1e12
     while mse has collapsed below 1e-24, the runaway that signals exact
-    reconstruction. A sweep producing a non-finite value triggers up to
-    four automatic step-size halvings; exhausting those or the iteration
-    budget raises FixedPointError carrying the last finite state.
+    reconstruction. A sweep producing a non-finite value is retried with
+    its step halved, up to four times per solve; exhausting those, or
+    cfg.max_iters accepted sweeps, raises FixedPointError carrying the last
+    finite state. The overlap diagnostics are evaluated once, for the
+    state returned or raised.
     """
-    state = initial_state(params) if start is None else start
-    damping = cfg.damping
-    retries = 0
-    for _ in range(cfg.max_iters):
-        if state.m_hat > _PERFECT_M_HAT and state.mse < _PERFECT_MSE:
-            return replace(state, perfect=True)
-        try:
-            candidate = iterate_mse_step(params, state, damping)
-            bad = not _state_is_finite(candidate)
-        except _SWEEP_ERRORS:
-            bad = True
-        if bad:
-            if retries >= _MAX_DAMPING_RETRIES:
-                raise FixedPointError(
-                    "iteration produced non-finite values despite damping increases",
-                    state,
-                )
-            retries += 1
-            damping = 1.0 - 0.5 * (1.0 - damping)
-            continue
-        state = candidate
-        if state.residual <= cfg.rel_tol:
-            return replace(state, converged=True)
-    raise FixedPointError(
-        f"no convergence after {cfg.max_iters} sweeps "
-        f"(last residual {state.residual:.3e})",
-        state,
+    values, residual, iterations, outcome = _damped_iteration(
+        partial(_mse_sweep, params),
+        _mse_start(params),
+        cfg,
+        stop=lambda v: v[2] > _PERFECT_M_HAT and v[0] < _PERFECT_MSE,
     )
+    state = FixedPointState(
+        *values,
+        *_diagnostics(params, *values[2:]),
+        residual=residual,
+        converged=outcome == "converged",
+        iterations=iterations,
+        perfect=outcome == "stopped",
+    )
+    if outcome == "non-finite":
+        raise FixedPointError("iteration produced non-finite values despite damping increases", state)
+    if outcome == "budget":
+        raise FixedPointError(
+            f"no convergence after {cfg.max_iters} sweeps (last residual {residual:.3e})", state
+        )
+    return state
 
 
 def _threshold_sweep(
@@ -385,10 +387,14 @@ def _threshold_sweep(
     lam: float,
     rho_x: float,
     rho_w: float,
-    a_value: float,
-    chi_hat: float,
+    values: tuple[float, float],
     damping: float,
-) -> tuple[float, float, float]:
+) -> tuple[float, float]:
+    """One damped sweep of the two-variable system over (A, chi_hat).
+
+    A non-positive A raises from 1/sqrt(A), so every accepted A is positive.
+    """
+    a_value, chi_hat = values
     keep = damping
     mix = 1.0 - damping
     numer = 0.0
@@ -404,12 +410,7 @@ def _threshold_sweep(
     if rho_w < 1.0:
         h_acc += alpha * (1.0 - rho_w) * _interior_moment_pair(cut)
     chi_hat_new = mix * h_acc + keep * chi_hat
-
-    residual = max(
-        _relative_change(a_new, a_value),
-        _relative_change(chi_hat_new, chi_hat),
-    )
-    return a_new, chi_hat_new, residual
+    return a_new, chi_hat_new
 
 
 def solve_threshold_fixed_point(
@@ -424,63 +425,30 @@ def solve_threshold_fixed_point(
     The system involves no variance parameters, so the returned state (and
     hence every phase boundary) is independent of sigma2_x and sigma2_w.
     condition_residual > 0 means (alpha, lam, rho_x, rho_w) sits inside the
-    perfect reconstruction phase.
+    perfect reconstruction phase. Retries and the budget work as in
+    solve_mse_fixed_point; a failure raises FixedPointError carrying the
+    last finite state with a NaN condition_residual.
     """
     _check_positive("alpha", alpha)
     _check_positive("lam", lam)
     _check_unit_interval("rho_x", rho_x)
     _check_unit_interval("rho_w", rho_w)
 
-    a_value = 1.0
-    chi_hat = alpha
-    damping = cfg.damping
-    retries = 0
-    iterations = 0
-    converged = False
-    while iterations < cfg.max_iters:
-        try:
-            a_new, chi_hat_new, residual = _threshold_sweep(
-                alpha, lam, rho_x, rho_w, a_value, chi_hat, damping
-            )
-            bad = not (math.isfinite(a_new) and math.isfinite(chi_hat_new) and a_new > 0.0)
-        except _SWEEP_ERRORS:
-            bad = True
-        if bad:
-            if retries >= _MAX_DAMPING_RETRIES:
-                raise FixedPointError(
-                    "threshold iteration produced non-finite values despite damping increases",
-                    ThresholdState(a_value, chi_hat, math.nan, False, iterations),
-                )
-            retries += 1
-            damping = 1.0 - 0.5 * (1.0 - damping)
-            continue
-        iterations += 1
-        a_value, chi_hat = a_new, chi_hat_new
-        if residual <= cfg.rel_tol:
-            converged = True
-            break
-    if not converged:
-        raise FixedPointError(
-            f"threshold fixed point not converged after {cfg.max_iters} sweeps",
-            ThresholdState(a_value, chi_hat, math.nan, False, iterations),
-        )
+    (a_value, chi_hat), _, iterations, outcome = _damped_iteration(
+        partial(_threshold_sweep, alpha, lam, rho_x, rho_w), (1.0, alpha), cfg
+    )
+    if outcome != "converged":
+        if outcome == "non-finite":
+            message = "threshold iteration produced non-finite values despite damping increases"
+        else:
+            message = f"threshold fixed point not converged after {cfg.max_iters} sweeps"
+        raise FixedPointError(message, ThresholdState(a_value, chi_hat, math.nan, False, iterations))
 
     # erf form of 1 - 2 Q avoids cancellation for small arguments
     clean_mass = math.erf(1.0 / math.sqrt(2.0 * a_value))
     support_mass = 2.0 * (1.0 - rho_x) * q_function(lam / math.sqrt(chi_hat)) + rho_x
     condition_residual = alpha * (1.0 - rho_w) * clean_mass - support_mass
-    return ThresholdState(
-        A=a_value,
-        chi_hat=chi_hat,
-        condition_residual=condition_residual,
-        converged=True,
-        iterations=iterations,
-    )
-
-
-def threshold_state_for(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLVER) -> ThresholdState:
-    """Threshold fixed point for a full parameter set (variances ignored)."""
-    return solve_threshold_fixed_point(params.alpha, params.lam, params.rho_x, params.rho_w, cfg)
+    return ThresholdState(a_value, chi_hat, condition_residual, True, iterations)
 
 
 def _boundary_root(
@@ -594,10 +562,6 @@ def optimize_lambda(
                 value = find_critical_rho_x(alpha, lam, rho_w, cfg)
             except BracketError:
                 return 0.0, 0.0
-            except FixedPointError as exc:
-                raise ObjectiveProbeError(
-                    f"threshold solve failed at probe lam={lam:.6g}: {exc}", lam
-                ) from exc
             return value, value
 
     elif objective == "critical-alpha":
@@ -610,10 +574,6 @@ def optimize_lambda(
             except BracketError:
                 # empty perfect phase: worse than any attainable ratio
                 return -2.0, math.nan
-            except FixedPointError as exc:
-                raise ObjectiveProbeError(
-                    f"threshold solve failed at probe lam={lam:.6g}: {exc}", lam
-                ) from exc
             return -value, value
 
     elif objective == "mse":
@@ -621,20 +581,8 @@ def optimize_lambda(
             raise ValueError("objective 'mse' requires alpha and rho_x")
 
         def score(lam: float) -> tuple[float, float]:
-            params = SystemParams(
-                alpha=alpha,
-                lam=lam,
-                rho_x=rho_x,
-                rho_w=rho_w,
-                sigma2_x=sigma2_x,
-                sigma2_w=sigma2_w,
-            )
-            try:
-                state = solve_mse_fixed_point(params, cfg)
-            except FixedPointError as exc:
-                raise ObjectiveProbeError(
-                    f"mse solve failed at probe lam={lam:.6g}: {exc}", lam
-                ) from exc
+            params = SystemParams(alpha, lam, rho_x, rho_w, sigma2_x, sigma2_w)
+            state = solve_mse_fixed_point(params, cfg)
             value = 0.0 if state.perfect else state.mse
             return -value, value
 
@@ -645,13 +593,18 @@ def optimize_lambda(
     hi = math.log(cfg.lambda_bracket[1])
     best_score = -math.inf
     best = LambdaOptimum(lambda_star=math.nan, objective_value=math.nan)
+    solver = "mse" if objective == "mse" else "threshold"
 
     def probe(u: float) -> float:
         nonlocal best_score, best
-        s, value = score(math.exp(u))
+        lam = math.exp(u)
+        try:
+            s, value = score(lam)
+        except FixedPointError as exc:
+            raise ObjectiveProbeError(f"{solver} solve failed at probe lam={lam:.6g}: {exc}", lam) from exc
         if s > best_score:
             best_score = s
-            best = LambdaOptimum(lambda_star=math.exp(u), objective_value=value)
+            best = LambdaOptimum(lambda_star=lam, objective_value=value)
         return s
 
     # the best probe is kept, not the minimizer's own answer: it is a pair

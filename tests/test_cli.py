@@ -61,6 +61,15 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err
 
+    def test_fixed_point_budget_exhausted(self, capsys):
+        code, _, err = run_cli(
+            ["threshold", "--solve-for", "rho-x", "--alpha", "0.5", "--rho-w", "0.1",
+             "--max-iters", "3"],
+            capsys,
+        )
+        assert code == 1
+        assert "error: threshold fixed point not converged after 3 sweeps" in err
+
     def test_version(self, capsys):
         code, out, _ = run_cli(["--version"], capsys)
         assert code == 0

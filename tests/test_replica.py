@@ -1,9 +1,12 @@
 """Fixed-point solvers, phase boundaries, penalty optimization."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from sparse_lab import replica
 from sparse_lab.replica import (
     BracketError,
     FixedPointError,
@@ -12,13 +15,12 @@ from sparse_lab.replica import (
     SystemParams,
     find_critical_alpha,
     find_critical_rho_x,
-    initial_state,
-    iterate_mse_step,
     optimize_lambda,
     solve_mse_fixed_point,
     solve_threshold_fixed_point,
-    threshold_state_for,
     _boundary_root,
+    _mse_start,
+    _mse_sweep,
 )
 
 
@@ -79,11 +81,8 @@ class TestMseFixedPoint:
         """One more sweep from a converged state barely moves it."""
         params = SystemParams(alpha=0.6, lam=1.0, rho_x=0.15, rho_w=0.1)
         state = solve_mse_fixed_point(params)
-        again = iterate_mse_step(params, state, damping=0.0)
-        np.testing.assert_allclose(again.mse, state.mse, rtol=1e-10)
-        np.testing.assert_allclose(again.chi, state.chi, rtol=1e-10)
-        np.testing.assert_allclose(again.m_hat, state.m_hat, rtol=1e-10)
-        np.testing.assert_allclose(again.chi_hat, state.chi_hat, rtol=1e-10)
+        values = (state.mse, state.chi, state.m_hat, state.chi_hat)
+        np.testing.assert_allclose(_mse_sweep(params, values, 0.0), values, rtol=1e-10)
 
     def test_damping_invariance(self):
         """The answer does not depend on the relaxation weight."""
@@ -137,6 +136,32 @@ class TestMseFixedPoint:
         assert info.value.state is not None
         assert info.value.state.iterations == 5
 
+    def test_budget_counts_accepted_sweeps_after_a_retry(self):
+        """The first undamped sweep divides by a chi that underflows to zero;
+        the retried sweep is not charged to the budget."""
+        params = SystemParams(alpha=0.001, lam=20.0, rho_x=0.0, rho_w=0.0)
+        with pytest.raises(FixedPointError) as info:
+            solve_mse_fixed_point(params, SolverConfig(damping=0.0, max_iters=3))
+        assert "no convergence after 3 sweeps" in str(info.value)
+        assert info.value.state.iterations == 3
+
+    def test_retry_recovers(self):
+        """With the full budget the halved step carries the solve through."""
+        params = SystemParams(alpha=0.001, lam=20.0, rho_x=0.0, rho_w=0.0)
+        state = solve_mse_fixed_point(params, SolverConfig(damping=0.0))
+        assert state.perfect
+        assert state.iterations == 51
+
+    def test_sweep_into_undefined_diagnostics_is_retried(self):
+        """An undamped noiseless sweep can drive chi_hat to exactly zero,
+        where the overlap diagnostics are undefined; that sweep is retried
+        with a halved step instead of being accepted."""
+        params = SystemParams(alpha=1e-8, lam=0.0037835, rho_x=0.0, rho_w=0.0)
+        state = solve_mse_fixed_point(params, SolverConfig(damping=0.0))
+        assert state.perfect
+        assert state.iterations == 68
+        assert state.chi_hat > 0.0
+
     def test_variance_invariant_phase(self):
         """The perfect/error verdict ignores the component variances."""
         base = dict(alpha=0.8, lam=0.7, rho_x=0.2, rho_w=0.05)
@@ -171,11 +196,19 @@ class TestThresholdFixedPoint:
         assert above.condition_residual > 0.0
         assert below.condition_residual < 0.0
 
-    def test_threshold_state_for_params(self):
-        params = SystemParams(alpha=0.5, lam=1.0, rho_x=0.05, rho_w=0.1)
-        state = threshold_state_for(params)
-        direct = solve_threshold_fixed_point(0.5, 1.0, 0.05, 0.1)
-        np.testing.assert_allclose(state.condition_residual, direct.condition_residual, rtol=1e-12)
+    def test_non_finite_sweeps(self):
+        """Every retry of the first sweep fails, so no sweep is accepted."""
+        with pytest.raises(FixedPointError) as info:
+            solve_threshold_fixed_point(0.001, 1.0, 0.0, 0.0)
+        assert "non-finite" in str(info.value)
+        assert info.value.state.iterations == 0
+        assert math.isnan(info.value.state.condition_residual)
+
+    def test_budget_exhaustion(self):
+        with pytest.raises(FixedPointError) as info:
+            solve_threshold_fixed_point(0.5, 1.0, 0.0772, 0.1, SolverConfig(max_iters=3))
+        assert "not converged after 3 sweeps" in str(info.value)
+        assert info.value.state.iterations == 3
 
     def test_boundary_roots_within_half_tolerance(self):
         """At the default tolerance both boundary searches land within
@@ -317,11 +350,35 @@ class TestOptimizeLambda:
             optimize_lambda("critical-alpha", rho_x=0.9, rho_w=0.9, cfg=cfg)
         assert info.value.lam > 0.0
 
+    @pytest.mark.parametrize(
+        "objective, solver, kwargs",
+        [
+            ("mse", "solve_mse_fixed_point", dict(alpha=0.55, rho_x=0.2, rho_w=0.15)),
+            ("critical-alpha", "solve_threshold_fixed_point", dict(rho_x=0.15, rho_w=0.015)),
+        ],
+    )
+    def test_solver_failure_names_the_probe(self, monkeypatch, objective, solver, kwargs):
+        """A solver that runs out of budget fails the search at the first
+        probe, tagged with that weight and chained to the solver error."""
+        probed = []
+        inner = getattr(replica, solver)
+
+        def recording(*args, **kw):
+            probed.append(args[0].lam if objective == "mse" else args[1])
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(replica, solver, recording)
+        with pytest.raises(ObjectiveProbeError) as info:
+            optimize_lambda(objective, cfg=SolverConfig(max_iters=3), **kwargs)
+        kind = "mse" if objective == "mse" else "threshold"
+        assert str(info.value).startswith(f"{kind} solve failed at probe lam=0.195793: ")
+        # the first golden-section point of the bounded search on log(lam)
+        assert info.value.lam == probed[-1]
+        np.testing.assert_allclose(info.value.lam, 0.19579250709528276, rtol=1e-12)
+        assert isinstance(info.value.__cause__, FixedPointError)
+
 
 class TestInitialState:
     def test_matches_signal_power(self):
         params = SystemParams(alpha=0.5, lam=1.0, rho_x=0.2, rho_w=0.1, sigma2_x=3.0)
-        state = initial_state(params)
-        assert state.mse == params.signal_power
-        assert not state.converged
-        assert state.iterations == 0
+        assert _mse_start(params) == (params.signal_power, 1.0, 1.0, params.alpha)
