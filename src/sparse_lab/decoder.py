@@ -4,13 +4,16 @@ Solves
 
     min_x  ||y - A x||_1 + lam ||x||_1
 
-with the Chambolle-Pock first-order scheme, finished by one exact HiGHS
-vertex after _LP_HANDOFF uncertified sweeps. Both objective terms are
-polyhedral, so exact optimality can be certified: a subgradient vector is
-assembled from a dual vector and its stationarity violation is measured in
-the max norm. The decoder only reports success when that certificate
-passes together with small primal-dual residuals, whichever of the
-iteration or the linear program produced the point.
+with the Chambolle-Pock first-order scheme, finished by an exact HiGHS
+vertex after _LP_HANDOFF uncertified sweeps: first on the columns the
+iterate screens as possibly active (as Gap Safe screening and working-set
+solvers do), then once on the full program if that vertex fails. Both
+objective terms are polyhedral, so exact optimality can be certified: a
+subgradient vector is assembled from a dual vector and its stationarity
+violation, always on the full problem, is measured in the max norm. The
+decoder only reports success when that certificate passes together with
+small primal-dual residuals, whichever of the iteration or a linear
+program produced the point.
 """
 
 from __future__ import annotations
@@ -44,6 +47,16 @@ _SUPPORT_EPS_SCALE = 1e-12
 # certifies in a few hundred sweeps, cheaper than the LP; outside it the
 # iteration crawls for tens of thousands.
 _LP_HANDOFF = 500
+
+# The screened finish keeps the columns with |A^T xi|_j >= (1 - _SCREEN_MARGIN)
+# lam or x_j != 0 at the handoff iterate.
+_SCREEN_MARGIN = 0.2
+
+# The screened finish is tried only when the handoff iterate has at most this
+# many unsaturated dual rows per nonzero. A nondegenerate vertex has as many
+# zero-residual rows as nonzeros; inside the perfect-recovery phase far more
+# rows are free, and the restricted duals rarely certify the full problem.
+_DEGENERACY_RATIO = 1.6
 
 # Sweeps between certificate checks.
 _CHECK_EVERY = 50
@@ -130,7 +143,9 @@ class DecodeResult:
     """Decoder output.
 
     x_hat is the certified point when converged is True, either an iterate
-    or the LP vertex, otherwise the best-objective iterate encountered.
+    or an LP vertex, otherwise the best-objective iterate encountered.
+    finish names what produced x_hat: "iteration", "screened-lp" (the LP
+    restricted to the screened columns) or "lp" (the full LP).
     objective_trace records the best-so-far objective at each certificate
     check and is nonincreasing by construction.
     """
@@ -142,6 +157,7 @@ class DecodeResult:
     primal_residual: float
     dual_residual: float
     certificate_norm: float
+    finish: str
     objective_trace: tuple[float, ...] = field(repr=False)
 
 
@@ -244,22 +260,27 @@ def _complementarity_gap(residual: np.ndarray, xi: np.ndarray) -> float:
     return float(np.max(np.abs(residual) + residual * xi, initial=0.0))
 
 
-def _lp_vertex(a: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _lp_vertex(
+    a: np.ndarray, y: np.ndarray, lam: float, columns: np.ndarray | slice = slice(None)
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Exact minimizer and dual iterate from one HiGHS solve, or None.
 
     Splits x = x+ - x- and the residual y - A x = r+ - r- into nonnegative
     parts, so the problem reads min lam 1'(x+ + x-) + 1'(r+ + r-) subject
     to [A, -A, I, -I] (x+, x-, r+, r-) = y. The equality duals u are the
     subgradient of ||y - A x||_1, so the decoder's dual iterate is -u.
-    Returns None unless HiGHS reports an optimal solution.
+    Only the given columns of A enter the program; the others stay zero in
+    the returned point, which is embedded back into R^n. Returns None
+    unless HiGHS reports an optimal solution.
     """
-    m, n = a.shape
+    sub = a[:, columns]
+    m, k = sub.shape
     eye = np.eye(m)
     # presolve removes nothing from these dense programs and costs about a
     # third of the solve time
     res = linprog(
-        np.concatenate([np.full(2 * n, lam), np.ones(2 * m)]),
-        A_eq=np.hstack([a, -a, eye, -eye]),
+        np.concatenate([np.full(2 * k, lam), np.ones(2 * m)]),
+        A_eq=np.hstack([sub, -sub, eye, -eye]),
         b_eq=y,
         bounds=(0.0, None),
         method="highs",
@@ -267,7 +288,9 @@ def _lp_vertex(a: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, np
     )
     if res.status != 0:
         return None
-    return res.x[:n] - res.x[n : 2 * n], -res.eqlin.marginals
+    x = np.zeros(a.shape[1])
+    x[columns] = res.x[:k] - res.x[k : 2 * k]
+    return x, -res.eqlin.marginals
 
 
 def decode(
@@ -285,12 +308,19 @@ def decode(
     is the worst complementary-slackness violation scaled by
     1 + ||y||_inf; the run counts as converged only when both fall below
     their tolerances. A run still uncertified after _LP_HANDOFF sweeps is
-    finished by one exact HiGHS vertex with its equality duals; the vertex
-    is adopted, with iterations = _LP_HANDOFF, only if it does not worsen
-    the best objective seen and passes both tests itself. Otherwise the
-    iteration goes on. Exhausting max_iters returns a result with
-    converged=False rather than raising. A zero measurement matrix is
-    rejected.
+    finished by an exact HiGHS vertex with its equality duals. If the
+    iterate looks nondegenerate (at most _DEGENERACY_RATIO unsaturated
+    dual rows per nonzero of x) and screening drops a column, the first
+    solve keeps only the columns with |A^T xi|_j >= (1 - _SCREEN_MARGIN)
+    lam or x_j != 0, and its vertex is scored against the full problem:
+    a restricted primal with a dual that certifies the full problem is
+    optimal by LP duality. If that vertex is not adopted, or was not
+    tried, the full program is solved once, with no further retry. A
+    vertex is adopted, with iterations = _LP_HANDOFF, only if it does not
+    worsen the best objective seen and passes both tests itself.
+    Otherwise the iteration goes on. Exhausting max_iters returns a
+    result with converged=False rather than raising. A zero measurement
+    matrix is rejected.
     """
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam!r}")
@@ -311,6 +341,7 @@ def decode(
             primal_residual=0.0,
             dual_residual=0.0,
             certificate_norm=0.0,
+            finish="iteration",
             objective_trace=(0.0,),
         )
 
@@ -339,6 +370,7 @@ def decode(
     trace: list[float] = [best_obj]
 
     converged = False
+    finish = "iteration"
     iterations = 0
 
     for sweep in range(1, cfg.max_iters + 1):
@@ -360,8 +392,19 @@ def decode(
                 break
 
         if sweep == _LP_HANDOFF:
-            vertex = _lp_vertex(a, y, lam)
-            if vertex is not None:
+            nonzero = x_new != 0.0
+            free_rows = np.count_nonzero(np.abs(xi_new) < 1.0)
+            nondegenerate = free_rows <= _DEGENERACY_RATIO * np.count_nonzero(nonzero)
+            screened = np.flatnonzero(
+                nonzero | (np.abs(at_xi_new) >= (1.0 - _SCREEN_MARGIN) * lam)
+            )
+            finishes = [("lp", slice(None))]
+            if nondegenerate and screened.size < instance.n:
+                finishes.insert(0, ("screened-lp", screened))
+            for path, columns in finishes:
+                vertex = _lp_vertex(a, y, lam, columns)
+                if vertex is None:
+                    continue
                 final_x, xi_lp = vertex
                 final_obj, cert, primal_res, dual_res = score(final_x, xi_lp)
                 if (
@@ -373,7 +416,10 @@ def decode(
                         best_obj = final_obj
                         trace.append(best_obj)
                     converged = True
+                    finish = path
                     break
+            if converged:
+                break
 
         x = x_new
         xi = xi_new
@@ -392,5 +438,6 @@ def decode(
         primal_residual=primal_res,
         dual_residual=dual_res,
         certificate_norm=cert,
+        finish=finish,
         objective_trace=tuple(trace),
     )

@@ -81,7 +81,7 @@ class EnsembleSpec:
 
 @dataclass(frozen=True)
 class TrialSummary:
-    """Per-trial outcome of decode-and-compare."""
+    """Per-trial outcome of decode-and-compare; iterations and finish are the decode's."""
 
     squared_error: float
     objective: float
@@ -89,6 +89,8 @@ class TrialSummary:
     support_precision: float
     support_recall: float
     wall_time: float
+    iterations: int
+    finish: str
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,8 @@ def run_trial(
         support_precision=precision,
         support_recall=recall,
         wall_time=elapsed,
+        iterations=result.iterations,
+        finish=result.finish,
     )
 
 
@@ -193,17 +197,19 @@ def run_monte_carlo(
     """Decode spec.trials instances and compare with the prediction.
 
     Trials are aggregated in trial-index order regardless of worker count,
-    so the result is bitwise independent of workers. progress, when given,
-    is called as progress(done, total) after each finished trial.
+    so the result is bitwise independent of workers. The pool holds at
+    most one process per trial. progress, when given, is called as
+    progress(done, total) after each finished trial.
     """
     if not success_tol > 0.0:
         raise ValueError(f"success_tol must be positive, got {success_tol!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
 
-    serial = workers == 1 or spec.trials == 1
+    pool_size = min(workers, spec.trials)
+    serial = pool_size == 1
     summaries: list[TrialSummary] = []
-    with nullcontext() if serial else ProcessPoolExecutor(max_workers=workers) as pool:
+    with nullcontext() if serial else ProcessPoolExecutor(max_workers=pool_size) as pool:
         mapper = map if serial else pool.map
         trials = mapper(run_trial, repeat(spec), range(spec.trials), repeat(decoder_cfg))
         for done, summary in enumerate(trials, start=1):

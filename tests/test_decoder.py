@@ -14,6 +14,8 @@ from sparse_lab.decoder import (
     estimate_operator_norm,
     evaluate_objective,
 )
+from sparse_lab.experiments import EnsembleSpec, sample_instance
+from sparse_lab.replica import SystemParams
 
 
 def _crawling_instance():
@@ -22,6 +24,29 @@ def _crawling_instance():
     a = rng.normal(size=(24, 48)) / np.sqrt(48)
     x0 = np.where(rng.random(48) < 0.1, rng.normal(size=48), 0.0)
     return ProblemInstance(A=a, y=a @ x0 + np.where(rng.random(24) < 0.1, 1.0, 0.0))
+
+
+def _ensemble_instance(rho_x, trial_index):
+    """Trial of an n = 128 ensemble at alpha 0.5, lam 1, rho_w 0.1, seed 12345."""
+    params = SystemParams(alpha=0.5, lam=1.0, rho_x=rho_x, rho_w=0.1)
+    spec = EnsembleSpec(n=128, params=params, trials=trial_index + 1, base_seed=12345)
+    return sample_instance(spec, trial_index)
+
+
+def _recording_linprog(monkeypatch, corrupt_first=False):
+    """Wrap the decoder's HiGHS call; returns the list of A_eq shapes solved."""
+    shapes = []
+    real = decoder.linprog
+
+    def recording(*args, **kwargs):
+        shapes.append(kwargs["A_eq"].shape)
+        res = real(*args, **kwargs)
+        if corrupt_first and len(shapes) == 1:
+            res.eqlin.marginals = np.zeros_like(res.eqlin.marginals)
+        return res
+
+    monkeypatch.setattr(decoder, "linprog", recording)
+    return shapes
 
 
 class TestOperatorNorm:
@@ -143,6 +168,7 @@ class TestLpReference:
         monkeypatch.setattr(decoder, "_LP_HANDOFF", cfg.max_iters + 1)
         result = decode(instance, 1.0, cfg)
         assert result.converged
+        assert result.finish == "iteration"
         assert result.iterations > handoff
         x = lp_decode(instance.A, instance.y, 1.0)
         np.testing.assert_allclose(
@@ -159,6 +185,7 @@ class TestExactFinish:
         cfg = DecoderConfig(primal_tol=1e-9, dual_tol=1e-9)
         result = decode(instance, 1.0, cfg)
         assert result.converged
+        assert result.finish in ("screened-lp", "lp")
         assert result.iterations == decoder._LP_HANDOFF == 500
         assert result.primal_residual <= cfg.primal_tol
         assert result.dual_residual <= cfg.dual_tol
@@ -177,9 +204,53 @@ class TestExactFinish:
 
         monkeypatch.setattr(decoder, "linprog", failing_linprog)
         result = decode(_crawling_instance(), 1.0, DecoderConfig(max_iters=600))
-        assert len(calls) == 1
+        # the handoff iterate passes the degeneracy gate: the screened solve,
+        # then the full one
+        assert len(calls) == 2
         assert result.converged is False
+        assert result.finish == "iteration"
         assert result.iterations == 600
+
+    def test_screened_solve_finishes_out_of_phase_run(self, monkeypatch):
+        instance = _ensemble_instance(0.11, 1)
+        shapes = _recording_linprog(monkeypatch)
+        result = decode(instance, 1.0)
+        assert result.converged
+        assert result.finish == "screened-lp"
+        assert result.iterations == decoder._LP_HANDOFF
+        assert len(shapes) == 1
+        m, n = instance.A.shape
+        assert shapes[0][1] < 2 * n + 2 * m
+        x = lp_decode(instance.A, instance.y, 1.0)
+        np.testing.assert_allclose(
+            result.objective, evaluate_objective(instance, x, 1.0), rtol=1e-9
+        )
+
+    def test_uncertified_screened_vertex_falls_back_to_full_lp(self, monkeypatch):
+        instance = _ensemble_instance(0.11, 1)
+        shapes = _recording_linprog(monkeypatch, corrupt_first=True)
+        cfg = DecoderConfig()
+        result = decode(instance, 1.0, cfg)
+        assert result.converged
+        assert result.finish == "lp"
+        assert result.iterations == decoder._LP_HANDOFF
+        m, n = instance.A.shape
+        assert len(shapes) == 2
+        assert shapes[0][1] < 2 * n + 2 * m
+        assert shapes[1] == (m, 2 * n + 2 * m)
+        assert result.primal_residual <= cfg.primal_tol
+        assert result.dual_residual <= cfg.dual_tol
+
+    def test_perfect_phase_handoff_solves_the_full_lp(self, monkeypatch):
+        """A degenerate handoff iterate skips the screened solve."""
+        instance = _ensemble_instance(0.02, 2)
+        shapes = _recording_linprog(monkeypatch)
+        result = decode(instance, 1.0)
+        assert result.converged
+        assert result.finish == "lp"
+        assert result.iterations == decoder._LP_HANDOFF
+        m, n = instance.A.shape
+        assert shapes == [(m, 2 * n + 2 * m)]
 
 
 class TestBehavior:

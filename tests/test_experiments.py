@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sparse_lab import experiments
 from sparse_lab.decoder import _LP_HANDOFF, decode
 from sparse_lab.experiments import (
     EnsembleSpec,
@@ -145,6 +146,8 @@ class TestRunTrial:
         diff = result.x_hat - instance.x0
         assert summary.squared_error == float(diff @ diff) / spec.n
         assert summary.objective == result.objective
+        assert summary.iterations == result.iterations
+        assert summary.finish == result.finish
 
 
 class TestRunMonteCarlo:
@@ -158,6 +161,28 @@ class TestRunMonteCarlo:
             serial = run_monte_carlo(spec, workers=1)
             parallel = run_monte_carlo(spec, workers=2)
             assert serial == parallel
+
+    def test_pool_holds_one_process_per_trial(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records the requested pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        spec = _spec(trials=2)
+        assert run_monte_carlo(spec, workers=16) == run_monte_carlo(spec, workers=1)
+        assert sizes == [2]
 
     def test_single_trial_mean_is_exact(self):
         spec = _spec(trials=1)
