@@ -4,7 +4,8 @@ Data rows go to stdout or to --output; progress and diagnostics go to
 stderr. CSV output carries '# key = value' metadata lines above an
 RFC-4180 header and rows, with floats printed to 17 significant digits so
 they round-trip exactly. JSON output is one object {"meta": ..., "records":
-[...]}. Exit codes: 0 success, 1 computational failure, 2 usage error.
+[...]}. Exit codes: 0 success, 1 computational failure (also a Monte Carlo
+worker process that died), 2 usage error.
 
 A flat key = value config file can stand in for flags: values from
 --config FILE are applied first and explicit flags override them. The
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Sequence
 
@@ -46,7 +48,7 @@ __all__ = ["main", "build_parser"]
 # config keys that map to bare boolean flags
 _BOOL_KEYS = {"with-mc"}
 
-_COMPUTE_ERRORS = (FixedPointError, BracketError, ObjectiveProbeError)
+_COMPUTE_ERRORS = (FixedPointError, BracketError, ObjectiveProbeError, BrokenProcessPool)
 
 
 class _UsageError(Exception):

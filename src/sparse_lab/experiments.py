@@ -4,13 +4,19 @@ Random instances are drawn from counter-based streams keyed by
 (base_seed, trial_index, purpose), so every trial is reproducible in
 isolation and results do not depend on scheduling: splitting the work
 across processes returns bitwise-identical aggregates.
+
+Parallel Monte Carlo calls share one process-wide worker pool. It is
+forked once per pool size, so its workers see this module's state (and
+the rest of the process's) as of that fork, not as of each call; it is
+shut down after _POOL_IDLE_S seconds without a call, and at exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 from time import perf_counter
@@ -48,6 +54,11 @@ _NOISE_TAG = 2
 
 # A component of the estimate counts as detected support above this size.
 _SUPPORT_TOL = 1e-6
+
+# The worker pool is shut down after this many seconds without a call.
+# Forked workers hold every descriptor this process had at the fork, so a
+# pool kept until exit would keep pipes open that other processes wait on.
+_POOL_IDLE_S = 1.0
 
 ProgressCallback = Callable[[int, int], None]
 
@@ -187,6 +198,63 @@ def run_trial(
     )
 
 
+# The process-wide worker pool, its size and its armed idle timer;
+# _pool_lock guards the three against the timer's thread.
+_pool_lock = threading.Lock()
+_pool: ProcessPoolExecutor | None = None
+_pool_size = 0
+_idle_timer: threading.Timer | None = None
+
+
+def _shutdown_pool(idle: bool = False) -> None:
+    """Drop the cached pool and wait for its workers to exit.
+
+    The idle timer calls this with idle=True; it then does nothing unless
+    that timer is still the armed one, since a call that took the pool in
+    the meantime has disarmed it.
+    """
+    global _pool, _idle_timer
+    with _pool_lock:
+        if idle and threading.current_thread() is not _idle_timer:
+            return
+        if _idle_timer is not None:
+            _idle_timer.cancel()
+        pool, _pool, _idle_timer = _pool, None, None
+    if pool is not None:
+        pool.shutdown()
+
+
+atexit.register(_shutdown_pool)
+
+
+def _pool_of_size(size: int) -> ProcessPoolExecutor:
+    """The cached pool, replaced by a new one unless it has size workers.
+
+    Disarms the idle timer; the caller re-arms it with _arm_idle_timer.
+    """
+    global _pool, _pool_size, _idle_timer
+    with _pool_lock:
+        if _idle_timer is not None:
+            _idle_timer.cancel()
+            _idle_timer = None
+        if _pool is not None and _pool_size == size:
+            return _pool
+    _shutdown_pool()
+    with _pool_lock:
+        _pool, _pool_size = ProcessPoolExecutor(max_workers=size), size
+        return _pool
+
+
+def _arm_idle_timer() -> None:
+    """Shut the cached pool down once it has been idle for _POOL_IDLE_S."""
+    global _idle_timer
+    with _pool_lock:
+        if _pool is not None:
+            _idle_timer = threading.Timer(_POOL_IDLE_S, _shutdown_pool, kwargs={"idle": True})
+            _idle_timer.daemon = True
+            _idle_timer.start()
+
+
 def run_monte_carlo(
     spec: EnsembleSpec,
     decoder_cfg: DecoderConfig = DEFAULT_DECODER,
@@ -197,9 +265,14 @@ def run_monte_carlo(
     """Decode spec.trials instances and compare with the prediction.
 
     Trials are aggregated in trial-index order regardless of worker count,
-    so the result is bitwise independent of workers. The pool holds at
-    most one process per trial. progress, when given, is called as
-    progress(done, total) after each finished trial.
+    so the result is bitwise independent of workers. With more than one
+    worker the trials run in the process-wide pool of min(workers, trials)
+    processes: it is forked by the first call of that size and reused by
+    later ones, so its workers see module state as of that fork, and it
+    exits after _POOL_IDLE_S seconds without a call. A call that fails
+    (BrokenProcessPool when a worker dies, or an interrupt) is not retried
+    and shuts the pool down; the next call forks a new one. progress, when
+    given, is called as progress(done, total) after each finished trial.
     """
     if not success_tol > 0.0:
         raise ValueError(f"success_tol must be positive, got {success_tol!r}")
@@ -207,15 +280,23 @@ def run_monte_carlo(
         raise ValueError(f"workers must be at least 1, got {workers!r}")
 
     pool_size = min(workers, spec.trials)
-    serial = pool_size == 1
+    pool = None if pool_size == 1 else _pool_of_size(pool_size)
+    mapper = map if pool is None else pool.map
     summaries: list[TrialSummary] = []
-    with nullcontext() if serial else ProcessPoolExecutor(max_workers=pool_size) as pool:
-        mapper = map if serial else pool.map
+    try:
         trials = mapper(run_trial, repeat(spec), range(spec.trials), repeat(decoder_cfg))
         for done, summary in enumerate(trials, start=1):
             summaries.append(summary)
             if progress is not None:
                 progress(done, spec.trials)
+    except BaseException:
+        if pool is not None:
+            # a dead worker has broken the pool, and an interrupted call
+            # may have left work running in it
+            _shutdown_pool()
+        raise
+    if pool is not None:
+        _arm_idle_timer()
 
     errors = [s.squared_error for s in summaries]
     mean_mse = sum(errors) / len(errors)

@@ -2,10 +2,12 @@
 
 import csv
 import json
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from sparse_lab import __version__
+from sparse_lab import __version__, experiments
 from sparse_lab.cli import main
 
 
@@ -336,6 +338,24 @@ class TestMonteCarlo:
         assert record["mean_mse"] >= 0.0
         assert record["replica_mse"] > 0.0
         assert payload["meta"]["seed"] == 3
+
+    def test_dead_worker_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)
+        argv = [
+            "mc", "--alpha", "0.5", "--rho-x", "0.2", "--rho-w", "0.1",
+            "--n", "16", "--trials", "2", "--workers", "2",
+        ]
+        try:
+            assert run_cli(argv, capsys)[0] == 0
+            with pytest.raises(BrokenProcessPool):
+                experiments._pool.submit(os._exit, 1).result()
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert run_cli(argv, capsys)[0] == 0
+        finally:
+            experiments._shutdown_pool()
 
 
 class TestSelftest:

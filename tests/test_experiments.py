@@ -1,6 +1,13 @@
 """Ensemble sampling and the Monte Carlo comparison harness."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,7 +169,8 @@ class TestRunMonteCarlo:
             parallel = run_monte_carlo(spec, workers=2)
             assert serial == parallel
 
-    def test_pool_holds_one_process_per_trial(self, monkeypatch):
+    def test_pool_holds_one_process_per_trial(self, monkeypatch, no_cached_pool):
+        # with a pool cached, the call would reuse it and never build the stand-in
         sizes = []
 
         class InlinePool:
@@ -171,11 +179,8 @@ class TestRunMonteCarlo:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
+            def shutdown(self):
+                pass
 
             map = staticmethod(map)
 
@@ -218,6 +223,111 @@ class TestRunMonteCarlo:
             run_monte_carlo(spec, success_tol=0.0)
         with pytest.raises(ValueError):
             run_monte_carlo(spec, workers=0)
+
+
+@pytest.fixture
+def no_cached_pool():
+    """Starts and ends the test with no worker pool cached."""
+    experiments._shutdown_pool()
+    yield
+    experiments._shutdown_pool()
+
+
+def _workers():
+    return {p.pid: p for p in multiprocessing.active_children()}
+
+
+# Holds a pipe to a reader child, as perfbench's speed probe does, while
+# two parallel calls run; exits 0 once the reader has seen the pipe close.
+_PIPE_HOLDER = """
+import subprocess, sys
+from sparse_lab import experiments
+from sparse_lab.experiments import EnsembleSpec, run_monte_carlo
+from sparse_lab.replica import SystemParams
+
+reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
+                          stdin=subprocess.PIPE)
+params = SystemParams(alpha=0.5, lam=1.0, rho_x=0.2, rho_w=0.1)
+spec = EnsembleSpec(n=32, params=params, trials=2, base_seed=12345)
+run_monte_carlo(spec, workers=2)
+run_monte_carlo(spec, workers=2)
+reader.stdin.close()
+try:
+    reader.wait(timeout=experiments._POOL_IDLE_S + 2.0)
+except subprocess.TimeoutExpired:
+    reader.kill()
+    sys.exit("the reader did not see its pipe close")
+"""
+
+
+@pytest.mark.usefixtures("no_cached_pool")
+class TestWorkerPool:
+    def test_consecutive_calls_reuse_the_workers(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)
+        spec = _spec(trials=4)
+        serial = run_monte_carlo(spec, workers=1)
+        first = run_monte_carlo(spec, workers=2)
+        before = _workers()
+        second = run_monte_carlo(spec, workers=2)
+        assert len(before) == 2
+        assert _workers().keys() == before.keys()
+        assert first == serial
+        assert second == serial
+
+    def test_another_size_replaces_the_pool(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)
+        run_monte_carlo(_spec(trials=2), workers=2)
+        old = _workers()
+        run_monte_carlo(_spec(trials=3), workers=3)
+        new = _workers()
+        assert len(old) == 2
+        assert len(new) == 3
+        assert old.keys().isdisjoint(new.keys())
+        assert not any(p.is_alive() for p in old.values())
+
+    def test_idle_pool_exits(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_POOL_IDLE_S", 0.05)
+        run_monte_carlo(_spec(trials=2), workers=2)
+        deadline = time.monotonic() + 5.0
+        while _workers() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _workers()
+        assert experiments._pool is None
+
+    def test_dead_worker_fails_that_call_only(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)
+        spec = _spec(trials=2)
+        serial = run_monte_carlo(spec, workers=1)
+        run_monte_carlo(spec, workers=2)
+        with pytest.raises(BrokenProcessPool):
+            experiments._pool.submit(os._exit, 1).result()
+        with pytest.raises(BrokenProcessPool):
+            run_monte_carlo(spec, workers=2)
+        assert experiments._pool is None
+        assert run_monte_carlo(spec, workers=2) == serial
+
+    def test_interrupted_call_keeps_no_pool(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)
+
+        def interrupt(done, total):
+            raise SystemExit(143)
+
+        with pytest.raises(SystemExit):
+            run_monte_carlo(_spec(trials=2), workers=2, progress=interrupt)
+        assert experiments._pool is None
+        assert not _workers()
+
+    def test_idle_pool_releases_inherited_descriptors(self):
+        src = Path(experiments.__file__).resolve().parents[1]
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", _PIPE_HOLDER],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestSweepPhaseDiagram:
