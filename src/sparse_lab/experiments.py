@@ -5,15 +5,17 @@ Random instances are drawn from counter-based streams keyed by
 isolation and results do not depend on scheduling: splitting the work
 across processes returns bitwise-identical aggregates.
 
-Parallel Monte Carlo calls share one process-wide worker pool. It is
-forked once per pool size, so its workers see this module's state (and
-the rest of the process's) as of that fork, not as of each call; it is
-shut down after _POOL_IDLE_S seconds without a call, and at exit.
+Parallel Monte Carlo calls share one process-wide worker pool, so a
+caller that makes calls back to back (mse-curve --with-mc, a Python
+loop over grid points) forks its workers once. The pool is forked once
+per pool size, so its workers see this module's state (and the rest of
+the process's) as of that fork, not as of each call; it is shut down
+_POOL_IDLE_S seconds after the last call, and its workers are joined at
+interpreter exit.
 """
 
 from __future__ import annotations
 
-import atexit
 import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -56,9 +58,10 @@ _NOISE_TAG = 2
 _SUPPORT_TOL = 1e-6
 
 # The worker pool is shut down after this many seconds without a call.
-# Forked workers hold every descriptor this process had at the fork, so a
-# pool kept until exit would keep pipes open that other processes wait on.
-_POOL_IDLE_S = 1.0
+# Forked workers hold every descriptor this process had at the fork, so
+# whoever waits for EOF on a pipe this process closes waits this long
+# after the last call; back-to-back calls come within a few milliseconds.
+_POOL_IDLE_S = 0.1
 
 ProgressCallback = Callable[[int, int], None]
 
@@ -206,12 +209,12 @@ _pool_size = 0
 _idle_timer: threading.Timer | None = None
 
 
-def _shutdown_pool(idle: bool = False) -> None:
+def _shutdown_pool(idle: bool = False, cancel: bool = False) -> None:
     """Drop the cached pool and wait for its workers to exit.
 
     The idle timer calls this with idle=True; it then does nothing unless
     that timer is still the armed one, since a call that took the pool in
-    the meantime has disarmed it.
+    the meantime has disarmed it. cancel drops the trials not yet started.
     """
     global _pool, _idle_timer
     with _pool_lock:
@@ -221,10 +224,7 @@ def _shutdown_pool(idle: bool = False) -> None:
             _idle_timer.cancel()
         pool, _pool, _idle_timer = _pool, None, None
     if pool is not None:
-        pool.shutdown()
-
-
-atexit.register(_shutdown_pool)
+        pool.shutdown(cancel_futures=cancel)
 
 
 def _pool_of_size(size: int) -> ProcessPoolExecutor:
@@ -269,10 +269,11 @@ def run_monte_carlo(
     worker the trials run in the process-wide pool of min(workers, trials)
     processes: it is forked by the first call of that size and reused by
     later ones, so its workers see module state as of that fork, and it
-    exits after _POOL_IDLE_S seconds without a call. A call that fails
-    (BrokenProcessPool when a worker dies, or an interrupt) is not retried
-    and shuts the pool down; the next call forks a new one. progress, when
-    given, is called as progress(done, total) after each finished trial.
+    exits _POOL_IDLE_S seconds after the last call. A call that fails
+    (BrokenProcessPool when a worker dies, or an interrupt) is not retried:
+    it drops its trials not yet started and shuts the pool down, and the
+    next call forks a new one. progress, when given, is called as
+    progress(done, total) after each finished trial.
     """
     if not success_tol > 0.0:
         raise ValueError(f"success_tol must be positive, got {success_tol!r}")
@@ -292,8 +293,8 @@ def run_monte_carlo(
     except BaseException:
         if pool is not None:
             # a dead worker has broken the pool, and an interrupted call
-            # may have left work running in it
-            _shutdown_pool()
+            # has left its remaining trials queued in it
+            _shutdown_pool(cancel=True)
         raise
     if pool is not None:
         _arm_idle_timer()

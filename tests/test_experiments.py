@@ -179,7 +179,7 @@ class TestRunMonteCarlo:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def shutdown(self):
+            def shutdown(self, cancel_futures=False):
                 pass
 
             map = staticmethod(map)
@@ -235,6 +235,45 @@ def no_cached_pool():
 
 def _workers():
     return {p.pid: p for p in multiprocessing.active_children()}
+
+
+# Trial indices started by _logged_trial are appended to this file; set it
+# before the pool is forked so that the workers see it.
+_trial_log = None
+
+
+def _logged_trial(spec, trial_index, decoder_cfg):
+    with open(_trial_log, "a") as log:
+        log.write(f"{trial_index}\n")
+    time.sleep(0.05)
+    return run_trial(spec, trial_index, decoder_cfg)
+
+
+# Makes a parallel call with the idle shutdown out of reach, prints the
+# worker pids and exits.
+_EXIT_WITH_POOL = """
+import multiprocessing
+from sparse_lab import experiments
+from sparse_lab.experiments import EnsembleSpec, run_monte_carlo
+from sparse_lab.replica import SystemParams
+
+experiments._POOL_IDLE_S = 60.0
+params = SystemParams(alpha=0.5, lam=1.0, rho_x=0.2, rho_w=0.1)
+run_monte_carlo(EnsembleSpec(n=32, params=params, trials=2, base_seed=12345), workers=2)
+print(*(p.pid for p in multiprocessing.active_children()))
+"""
+
+
+def _run_with_src(code):
+    src = Path(experiments.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 # Holds a pipe to a reader child, as perfbench's speed probe does, while
@@ -317,16 +356,34 @@ class TestWorkerPool:
         assert experiments._pool is None
         assert not _workers()
 
+    def test_interrupted_call_drops_the_queued_trials(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)
+        monkeypatch.setattr(sys.modules[__name__], "_trial_log", str(tmp_path / "trials"))
+        monkeypatch.setattr(experiments, "run_trial", _logged_trial)
+
+        def interrupt(done, total):
+            raise KeyboardInterrupt
+
+        spec = _spec(trials=40)
+        with pytest.raises(KeyboardInterrupt):
+            run_monte_carlo(spec, workers=2, progress=interrupt)
+        assert not _workers()
+        # the two running trials and the few already handed to the workers
+        # finish; the rest never start
+        started = (tmp_path / "trials").read_text().split()
+        assert len(started) <= 10, started
+
+    def test_exit_joins_the_workers(self):
+        done = _run_with_src(_EXIT_WITH_POOL)
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
     def test_idle_pool_releases_inherited_descriptors(self):
-        src = Path(experiments.__file__).resolve().parents[1]
-        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-        done = subprocess.run(
-            [sys.executable, "-c", _PIPE_HOLDER],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        done = _run_with_src(_PIPE_HOLDER)
         assert done.returncode == 0, done.stderr
 
 
