@@ -22,12 +22,13 @@ import math
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Sequence
 
 from . import __version__
 from .decoder import DEFAULT_DECODER, DecoderConfig
-from .experiments import EnsembleSpec, run_monte_carlo, sweep_phase_diagram
+from .experiments import EnsembleSpec, PhaseDiagramRow, run_monte_carlo, sweep_phase_diagram
 from .replica import (
     DEFAULT_SOLVER,
     BracketError,
@@ -357,19 +358,8 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         cfg=cfg,
         progress=_progress("phase-diagram"),
     )
-    records = [
-        {
-            "rho_x": row.rho_x,
-            "delta": row.delta,
-            "rho_w": row.rho_w,
-            "alpha_c_fixed": row.alpha_c_fixed,
-            "alpha_c_optimal": row.alpha_c_optimal,
-            "lambda_star": row.lambda_star,
-        }
-        for row in rows
-    ]
-    columns = ["rho_x", "delta", "rho_w", "alpha_c_fixed", "alpha_c_optimal", "lambda_star"]
-    _emit(args, _meta_of(args), records, columns)
+    columns = [f.name for f in fields(PhaseDiagramRow)]
+    _emit(args, _meta_of(args), [asdict(row) for row in rows], columns)
     return 0
 
 

@@ -19,7 +19,7 @@ program produced the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -146,8 +146,6 @@ class DecodeResult:
     or an LP vertex, otherwise the best-objective iterate encountered.
     finish names what produced x_hat: "iteration", "screened-lp" (the LP
     restricted to the screened columns) or "lp" (the full LP).
-    objective_trace records the best-so-far objective at each certificate
-    check and is nonincreasing by construction.
     """
 
     x_hat: np.ndarray
@@ -156,9 +154,7 @@ class DecodeResult:
     converged: bool
     primal_residual: float
     dual_residual: float
-    certificate_norm: float
     finish: str
-    objective_trace: tuple[float, ...] = field(repr=False)
 
 
 def estimate_operator_norm(A: np.ndarray, iters: int = 200, tol: float = 1e-12) -> float:
@@ -319,7 +315,9 @@ def decode(
     vertex is adopted, with iterations = _LP_HANDOFF, only if it does not
     worsen the best objective seen and passes both tests itself.
     Otherwise the iteration goes on. Exhausting max_iters returns a
-    result with converged=False rather than raising. A zero measurement
+    result with converged=False rather than raising. Zero data takes the
+    same path: x = 0 is certified exactly at the first check, so
+    iterations reads min(_CHECK_EVERY, max_iters). A zero measurement
     matrix is rejected.
     """
     if not lam > 0.0:
@@ -330,21 +328,6 @@ def decode(
     if norm_a == 0.0:
         raise ValueError("measurement matrix is identically zero")
 
-    if not np.any(y):
-        # zero data: x = 0 is optimal with objective 0, certificate exact
-        zero = np.zeros(instance.n)
-        return DecodeResult(
-            x_hat=zero,
-            objective=0.0,
-            iterations=0,
-            converged=True,
-            primal_residual=0.0,
-            dual_residual=0.0,
-            certificate_norm=0.0,
-            finish="iteration",
-            objective_trace=(0.0,),
-        )
-
     step = cfg.step_scale / norm_a
     tau = step
     sigma = step
@@ -354,12 +337,12 @@ def decode(
     support_eps = _SUPPORT_EPS_SCALE
     cert_scale = 1.0 + float(np.max(np.abs(a.T @ np.sign(y))))
 
-    def score(x: np.ndarray, xi: np.ndarray) -> tuple[float, float, float, float]:
-        """Objective, certificate norm and both scaled residuals of (x, xi)."""
+    def score(x: np.ndarray, xi: np.ndarray) -> tuple[float, float, float]:
+        """Objective and both scaled residuals of (x, xi)."""
         residual = y - a @ x
         obj = float(np.sum(np.abs(residual)) + lam * np.sum(np.abs(x)))
         cert = _certificate_norm(a, x, xi, residual, lam, active_eps, support_eps)
-        return obj, cert, cert / cert_scale, _complementarity_gap(residual, xi) / y_scale
+        return obj, cert / cert_scale, _complementarity_gap(residual, xi) / y_scale
 
     x = np.zeros(instance.n)
     xi = np.zeros(instance.m)
@@ -367,7 +350,6 @@ def decode(
 
     best_obj = evaluate_objective(instance, x, lam)
     best_x = x.copy()
-    trace: list[float] = [best_obj]
 
     converged = False
     finish = "iteration"
@@ -382,11 +364,10 @@ def decode(
 
         if sweep % _CHECK_EVERY == 0 or sweep == cfg.max_iters:
             final_x = x_new
-            final_obj, cert, primal_res, dual_res = score(x_new, xi_new)
+            final_obj, primal_res, dual_res = score(x_new, xi_new)
             if final_obj < best_obj:
                 best_obj = final_obj
                 best_x = x_new.copy()
-            trace.append(best_obj)
             if primal_res <= cfg.primal_tol and dual_res <= cfg.dual_tol:
                 converged = True
                 break
@@ -406,15 +387,12 @@ def decode(
                 if vertex is None:
                     continue
                 final_x, xi_lp = vertex
-                final_obj, cert, primal_res, dual_res = score(final_x, xi_lp)
+                final_obj, primal_res, dual_res = score(final_x, xi_lp)
                 if (
                     final_obj <= best_obj
                     and primal_res <= cfg.primal_tol
                     and dual_res <= cfg.dual_tol
                 ):
-                    if final_obj < best_obj:
-                        best_obj = final_obj
-                        trace.append(best_obj)
                     converged = True
                     finish = path
                     break
@@ -428,7 +406,7 @@ def decode(
     if not converged:
         # report the best point seen, with its own residuals
         final_x = best_x
-        final_obj, cert, primal_res, dual_res = score(final_x, xi)
+        final_obj, primal_res, dual_res = score(final_x, xi)
 
     return DecodeResult(
         x_hat=final_x,
@@ -437,7 +415,5 @@ def decode(
         converged=converged,
         primal_residual=primal_res,
         dual_residual=dual_res,
-        certificate_norm=cert,
         finish=finish,
-        objective_trace=tuple(trace),
     )

@@ -5,13 +5,18 @@ Random instances are drawn from counter-based streams keyed by
 isolation and results do not depend on scheduling: splitting the work
 across processes returns bitwise-identical aggregates.
 
-Parallel Monte Carlo calls share one process-wide worker pool, so a
-caller that makes calls back to back (mse-curve --with-mc, a Python
-loop over grid points) forks its workers once. The pool is forked once
-per pool size, so its workers see this module's state (and the rest of
-the process's) as of that fork, not as of each call; it is shut down
-_POOL_IDLE_S seconds after the last call, and its workers are joined at
-interpreter exit.
+Parallel Monte Carlo calls reuse one warm worker pool, so a caller that
+makes calls back to back (mse-curve --with-mc, a Python loop over grid
+points) forks its workers once. A parallel call takes the idle pool out
+of its slot, reusing it if it has the call's size and otherwise shutting
+it down and forking a new one, so the workers see this module's state
+(and the rest of the process's) as of that fork, not as of each call. A
+call that succeeds puts its pool back, shutting down any pool another
+thread put back meanwhile, and the pool is shut down _POOL_IDLE_S
+seconds later unless another call takes it first. A call that fails (a
+worker died, or an interrupt) is not retried and shuts its pool down,
+dropping the trials not yet started. Workers of a live pool are joined
+at interpreter exit.
 """
 
 from __future__ import annotations
@@ -201,58 +206,47 @@ def run_trial(
     )
 
 
-# The process-wide worker pool, its size and its armed idle timer;
-# _pool_lock guards the three against the timer's thread.
-_pool_lock = threading.Lock()
-_pool: ProcessPoolExecutor | None = None
-_pool_size = 0
-_idle_timer: threading.Timer | None = None
+# The idle worker pool as (size, pool, idle timer), or None while no pool
+# is idle; a parallel call takes the pool out and puts it back on success.
+_idle_lock = threading.Lock()
+_idle: tuple[int, ProcessPoolExecutor, threading.Timer] | None = None
 
 
-def _shutdown_pool(idle: bool = False, cancel: bool = False) -> None:
-    """Drop the cached pool and wait for its workers to exit.
+def _take_pool(size: int) -> ProcessPoolExecutor:
+    """The idle pool if it has size workers, else a newly forked one."""
+    global _idle
+    with _idle_lock:
+        idle, _idle = _idle, None
+    if idle is not None:
+        idle_size, pool, timer = idle
+        timer.cancel()
+        if idle_size == size:
+            return pool
+        pool.shutdown()
+    return ProcessPoolExecutor(max_workers=size)
 
-    The idle timer calls this with idle=True; it then does nothing unless
-    that timer is still the armed one, since a call that took the pool in
-    the meantime has disarmed it. cancel drops the trials not yet started.
-    """
-    global _pool, _idle_timer
-    with _pool_lock:
-        if idle and threading.current_thread() is not _idle_timer:
+
+def _put_pool(size: int, pool: ProcessPoolExecutor) -> None:
+    """Leave pool idle, shutting down any idle pool it displaces."""
+    global _idle
+    timer = threading.Timer(_POOL_IDLE_S, _drop_idle, args=(pool,))
+    timer.daemon = True
+    with _idle_lock:
+        displaced, _idle = _idle, (size, pool, timer)
+    timer.start()
+    if displaced is not None:
+        displaced[2].cancel()
+        displaced[1].shutdown()
+
+
+def _drop_idle(pool: ProcessPoolExecutor) -> None:
+    """Shut pool down unless a call has taken it out of the slot."""
+    global _idle
+    with _idle_lock:
+        if _idle is None or _idle[1] is not pool:
             return
-        if _idle_timer is not None:
-            _idle_timer.cancel()
-        pool, _pool, _idle_timer = _pool, None, None
-    if pool is not None:
-        pool.shutdown(cancel_futures=cancel)
-
-
-def _pool_of_size(size: int) -> ProcessPoolExecutor:
-    """The cached pool, replaced by a new one unless it has size workers.
-
-    Disarms the idle timer; the caller re-arms it with _arm_idle_timer.
-    """
-    global _pool, _pool_size, _idle_timer
-    with _pool_lock:
-        if _idle_timer is not None:
-            _idle_timer.cancel()
-            _idle_timer = None
-        if _pool is not None and _pool_size == size:
-            return _pool
-    _shutdown_pool()
-    with _pool_lock:
-        _pool, _pool_size = ProcessPoolExecutor(max_workers=size), size
-        return _pool
-
-
-def _arm_idle_timer() -> None:
-    """Shut the cached pool down once it has been idle for _POOL_IDLE_S."""
-    global _idle_timer
-    with _pool_lock:
-        if _pool is not None:
-            _idle_timer = threading.Timer(_POOL_IDLE_S, _shutdown_pool, kwargs={"idle": True})
-            _idle_timer.daemon = True
-            _idle_timer.start()
+        _idle = None
+    pool.shutdown()
 
 
 def run_monte_carlo(
@@ -266,13 +260,9 @@ def run_monte_carlo(
 
     Trials are aggregated in trial-index order regardless of worker count,
     so the result is bitwise independent of workers. With more than one
-    worker the trials run in the process-wide pool of min(workers, trials)
-    processes: it is forked by the first call of that size and reused by
-    later ones, so its workers see module state as of that fork, and it
-    exits _POOL_IDLE_S seconds after the last call. A call that fails
-    (BrokenProcessPool when a worker dies, or an interrupt) is not retried:
-    it drops its trials not yet started and shuts the pool down, and the
-    next call forks a new one. progress, when given, is called as
+    worker the trials run in the warm pool of min(workers, trials)
+    processes described in the module docstring; a dead worker makes the
+    call raise BrokenProcessPool. progress, when given, is called as
     progress(done, total) after each finished trial.
     """
     if not success_tol > 0.0:
@@ -281,7 +271,7 @@ def run_monte_carlo(
         raise ValueError(f"workers must be at least 1, got {workers!r}")
 
     pool_size = min(workers, spec.trials)
-    pool = None if pool_size == 1 else _pool_of_size(pool_size)
+    pool = None if pool_size == 1 else _take_pool(pool_size)
     mapper = map if pool is None else pool.map
     summaries: list[TrialSummary] = []
     try:
@@ -294,10 +284,10 @@ def run_monte_carlo(
         if pool is not None:
             # a dead worker has broken the pool, and an interrupted call
             # has left its remaining trials queued in it
-            _shutdown_pool(cancel=True)
+            pool.shutdown(cancel_futures=True)
         raise
     if pool is not None:
-        _arm_idle_timer()
+        _put_pool(pool_size, pool)
 
     errors = [s.squared_error for s in summaries]
     mean_mse = sum(errors) / len(errors)

@@ -14,7 +14,6 @@ and the tests call them; the solvers never do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -28,9 +27,7 @@ __all__ = [
     "CheckResult",
     "run_all",
     "CHECKS",
-    "QuadratureConfig",
     "QuadratureError",
-    "DEFAULT_QUADRATURE",
     "phi_lambda_oracle",
     "gauss_expectation",
     "lemma_oracles",
@@ -42,25 +39,13 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 # --- quadrature oracles ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Settings for the Gaussian-weighted quadrature oracles."""
+# Absolute tolerance and subdivision budget of the quadrature oracles.
+_QUAD_ABS_TOL = 1e-10
+_QUAD_LIMIT = 200
 
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 200
-    integration_halfwidth: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
-        if self.integration_halfwidth < 8.0:
-            # Gaussian mass beyond 8 standard deviations is below 1e-15
-            raise ValueError("integration_halfwidth must be at least 8")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# Half-width of the integration range in standard deviations; it must be at
+# least 8, beyond which the Gaussian mass is below 1e-15.
+_QUAD_HALFWIDTH = 10.0
 
 
 class QuadratureError(RuntimeError):
@@ -92,7 +77,6 @@ def _checked_quad(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    config: QuadratureConfig,
     points: Sequence[float] | None = None,
 ) -> float:
     if hi <= lo:
@@ -101,38 +85,36 @@ def _checked_quad(
         f,
         lo,
         hi,
-        epsabs=config.abs_tol,
+        epsabs=_QUAD_ABS_TOL,
         epsrel=0.0,
-        limit=config.max_subdivisions,
+        limit=_QUAD_LIMIT,
         points=points,
         full_output=1,
     )
     value, abserr = result[0], result[1]
-    if abserr > config.abs_tol:
+    if abserr > _QUAD_ABS_TOL:
         raise QuadratureError(
             f"quadrature achieved absolute tolerance {abserr:.3e}, "
-            f"requested {config.abs_tol:.3e}",
+            f"requested {_QUAD_ABS_TOL:.3e}",
             abserr,
         )
     return value
 
 
 def gauss_expectation(
-    f: Callable[[float], float],
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-    breakpoints: Sequence[float] = (),
+    f: Callable[[float], float], breakpoints: Sequence[float] = ()
 ) -> float:
     """E[f(z)] for z ~ N(0,1) by adaptive quadrature on [-hw, hw].
 
     breakpoints lists known kink locations of f so the subdivision can land
     on them exactly.
     """
-    hw = config.integration_halfwidth
+    hw = _QUAD_HALFWIDTH
     pts = sorted(p for p in breakpoints if -hw < p < hw) or None
-    return _checked_quad(lambda z: f(z) * gauss_pdf(z), -hw, hw, config, points=pts)
+    return _checked_quad(lambda z: f(z) * gauss_pdf(z), -hw, hw, points=pts)
 
 
-def lemma_oracles(a: float, config: QuadratureConfig = DEFAULT_QUADRATURE) -> tuple[float, float]:
+def lemma_oracles(a: float) -> tuple[float, float]:
     """Tail mass and interior second moment of the unit Gaussian at cut a.
 
     Returns (P(|z| > a), E[z^2; |z| < a]) with both integrals evaluated by
@@ -142,9 +124,9 @@ def lemma_oracles(a: float, config: QuadratureConfig = DEFAULT_QUADRATURE) -> tu
     """
     if not a > 0.0:
         raise ValueError(f"lemma_oracles requires a > 0, got {a!r}")
-    hw = config.integration_halfwidth
-    tail = 2.0 * _checked_quad(gauss_pdf, a, max(a, hw), config)
-    interior = 2.0 * _checked_quad(lambda t: t * t * gauss_pdf(t), 0.0, min(a, hw), config)
+    hw = _QUAD_HALFWIDTH
+    tail = 2.0 * _checked_quad(gauss_pdf, a, max(a, hw))
+    interior = 2.0 * _checked_quad(lambda t: t * t * gauss_pdf(t), 0.0, min(a, hw))
     return tail, interior
 
 
@@ -317,8 +299,6 @@ def check_operator_norm() -> CheckResult:
 
 def check_config_validation() -> CheckResult:
     probes: list[Callable[[], object]] = [
-        lambda: QuadratureConfig(abs_tol=0.0),
-        lambda: QuadratureConfig(integration_halfwidth=4.0),
         lambda: SystemParams(alpha=0.5, lam=-1.0, rho_x=0.1, rho_w=0.1),
         lambda: SystemParams(alpha=0.5, lam=1.0, rho_x=1.5, rho_w=0.1),
         lambda: DecoderConfig(step_scale=1.5),

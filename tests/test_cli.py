@@ -1,4 +1,5 @@
-"""Command-line interface: exit codes, formats, config and seed plumbing."""
+"""Command-line interface: exit codes, formats, config and seed plumbing;
+the package's exported names."""
 
 import csv
 import json
@@ -7,7 +8,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from sparse_lab import __version__, experiments
+import sparse_lab
+from sparse_lab import __version__, experiments, selftest
 from sparse_lab.cli import main
 
 
@@ -30,6 +32,13 @@ def parse_csv(text):
     header = rows[0]
     records = [dict(zip(header, row)) for row in rows[1:]]
     return meta, header, records
+
+
+class TestPublicNames:
+    @pytest.mark.parametrize("module", [sparse_lab, selftest], ids=lambda m: m.__name__)
+    def test_every_exported_name_resolves(self, module):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing
 
 
 class TestExitCodes:
@@ -348,14 +357,17 @@ class TestMonteCarlo:
         try:
             assert run_cli(argv, capsys)[0] == 0
             with pytest.raises(BrokenProcessPool):
-                experiments._pool.submit(os._exit, 1).result()
+                experiments._idle[1].submit(os._exit, 1).result()
             code, out, err = run_cli(argv, capsys)
             assert code == 1
             assert out == ""
             assert err.startswith("error: ") and "Traceback" not in err
             assert run_cli(argv, capsys)[0] == 0
         finally:
-            experiments._shutdown_pool()
+            idle, experiments._idle = experiments._idle, None
+            if idle is not None:
+                idle[2].cancel()
+                idle[1].shutdown()
 
 
 class TestSelftest:

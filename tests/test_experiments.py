@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -225,12 +226,20 @@ class TestRunMonteCarlo:
             run_monte_carlo(spec, workers=0)
 
 
+def _drop_idle_pool():
+    """Shuts the idle worker pool down, if there is one."""
+    idle, experiments._idle = experiments._idle, None
+    if idle is not None:
+        idle[2].cancel()
+        idle[1].shutdown()
+
+
 @pytest.fixture
 def no_cached_pool():
     """Starts and ends the test with no worker pool cached."""
-    experiments._shutdown_pool()
+    _drop_idle_pool()
     yield
-    experiments._shutdown_pool()
+    _drop_idle_pool()
 
 
 def _workers():
@@ -331,7 +340,38 @@ class TestWorkerPool:
         while _workers() and time.monotonic() < deadline:
             time.sleep(0.01)
         assert not _workers()
-        assert experiments._pool is None
+        assert experiments._idle is None
+
+    def test_overlapping_calls_leave_no_pool(self, monkeypatch):
+        # the first call starts the second from inside its run, so each
+        # forks a pool; whichever finishes last displaces the other's,
+        # which the displaced pool's own idle timer would no longer see
+        monkeypatch.setattr(experiments, "_POOL_IDLE_S", 1.0)
+        spec = _spec(trials=2)
+        serial = run_monte_carlo(spec, workers=1)
+        second_running = threading.Event()
+        results = []
+
+        def second_call():
+            progress = lambda done, total: second_running.set()
+            results.append(run_monte_carlo(spec, workers=2, progress=progress))
+
+        second = threading.Thread(target=second_call)
+
+        def start_second(done, total):
+            if done == 1:
+                second.start()
+                assert second_running.wait(30.0)
+
+        results.append(run_monte_carlo(spec, workers=2, progress=start_second))
+        second.join(30.0)
+        assert results == [serial, serial]
+        assert len(_workers()) == 2
+        deadline = time.monotonic() + 5.0
+        while _workers() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _workers()
+        assert experiments._idle is None
 
     def test_dead_worker_fails_that_call_only(self, monkeypatch):
         monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)
@@ -339,10 +379,10 @@ class TestWorkerPool:
         serial = run_monte_carlo(spec, workers=1)
         run_monte_carlo(spec, workers=2)
         with pytest.raises(BrokenProcessPool):
-            experiments._pool.submit(os._exit, 1).result()
+            experiments._idle[1].submit(os._exit, 1).result()
         with pytest.raises(BrokenProcessPool):
             run_monte_carlo(spec, workers=2)
-        assert experiments._pool is None
+        assert experiments._idle is None
         assert run_monte_carlo(spec, workers=2) == serial
 
     def test_interrupted_call_keeps_no_pool(self, monkeypatch):
@@ -353,7 +393,7 @@ class TestWorkerPool:
 
         with pytest.raises(SystemExit):
             run_monte_carlo(_spec(trials=2), workers=2, progress=interrupt)
-        assert experiments._pool is None
+        assert experiments._idle is None
         assert not _workers()
 
     def test_interrupted_call_drops_the_queued_trials(self, monkeypatch, tmp_path):

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from sparse_lab import selftest
 from sparse_lab.selftest import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
     QuadratureError,
     gauss_expectation,
     lemma_oracles,
@@ -270,18 +269,10 @@ class TestQuadratureOracles:
         with pytest.raises(ValueError):
             phi_lambda_oracle(1.0, 1.0, 0.0)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
         """A kinked integrand with one subdivision cannot hit 1e-13."""
-        cfg = QuadratureConfig(abs_tol=1e-13, max_subdivisions=1)
+        monkeypatch.setattr(selftest, "_QUAD_ABS_TOL", 1e-13)
+        monkeypatch.setattr(selftest, "_QUAD_LIMIT", 1)
         with pytest.raises(QuadratureError) as info:
-            gauss_expectation(lambda z: abs(z - 0.3), cfg)
+            gauss_expectation(lambda z: abs(z - 0.3))
         assert info.value.achieved_tol > 1e-13
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(max_subdivisions=0)
-        with pytest.raises(ValueError):
-            QuadratureConfig(integration_halfwidth=4.0)
-        assert DEFAULT_QUADRATURE.integration_halfwidth >= 8.0
