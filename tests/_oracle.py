@@ -14,11 +14,15 @@ Intended for n <= 3 only.
 lp_decode solves problems of any size exactly as a linear program, with
 HiGHS through scipy, and reference_squared_error scores one sampled
 trial with it.
+
+chambolle_pock is the textbook primal-dual loop the decoder's sweep
+implements, written the plain way, for bitwise comparison.
 """
 
 import numpy as np
 from scipy.optimize import linprog
 
+from sparse_lab.decoder import DEFAULT_DECODER, estimate_operator_norm
 from sparse_lab.experiments import EnsembleSpec, sample_instance
 
 REFINEMENTS = 7
@@ -123,3 +127,21 @@ def random_tiny_instance(rng: np.random.Generator):
     y = rng.normal(scale=1.5, size=m)
     lam = float(10.0 ** rng.uniform(-0.5, 0.5))
     return a, y, lam
+
+
+def chambolle_pock(a: np.ndarray, y: np.ndarray, lam: float, sweeps: int) -> np.ndarray:
+    """Primal iterate after `sweeps` Chambolle-Pock sweeps from zero.
+
+    Steps tau = sigma = step_scale / ||A||_2 with the decoder's default
+    step_scale and operator-norm budget; extrapolation weight 1.
+    """
+    cfg = DEFAULT_DECODER
+    tau = sigma = cfg.step_scale / estimate_operator_norm(a, cfg.power_iters, cfg.power_tol)
+    x = np.zeros(a.shape[1])
+    xi = np.zeros(a.shape[0])
+    for _ in range(sweeps):
+        v = x - tau * (a.T @ xi)
+        x_new = np.sign(v) * np.maximum(np.abs(v) - tau * lam, 0.0)
+        xi = np.clip(xi + sigma * (a @ (2.0 * x_new - x) - y), -1.0, 1.0)
+        x = x_new
+    return x

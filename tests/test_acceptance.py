@@ -13,6 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import pytest
 
 from _oracle import grid_objective, random_tiny_instance, reference_squared_error
 from sparse_lab.decoder import DEFAULT_DECODER, DecoderConfig, ProblemInstance, decode
@@ -213,6 +214,7 @@ def _extrapolate(errors):
     return float(coef[0]), math.sqrt(cov[0, 0]), chi2
 
 
+@pytest.mark.slow
 def test_criterion_07_finite_size_error_agreement(capsys):
     """The replica error is the N -> infinity limit of the decoded error.
 

@@ -1,11 +1,12 @@
 """Primal-dual decoder: known answers, optimality, certificates, LP finish."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from _oracle import grid_objective, lp_decode, random_tiny_instance
+from _oracle import chambolle_pock, grid_objective, lp_decode, random_tiny_instance
 from sparse_lab import decoder
 from sparse_lab.decoder import (
     DecoderConfig,
@@ -71,6 +72,31 @@ class TestOperatorNorm:
         v = np.array([1.0, 2.0, 2.0])
         a = np.outer(u, v)
         np.testing.assert_allclose(estimate_operator_norm(a), 15.0, rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(128, 256), (256, 512), (256, 128)])
+    def test_matches_exact_norm(self, shape):
+        a = np.random.default_rng(sum(shape)).normal(size=shape)
+        np.testing.assert_allclose(estimate_operator_norm(a), np.linalg.norm(a, 2), rtol=1e-12)
+
+    def test_one_step_is_the_rayleigh_quotient(self):
+        a = np.random.default_rng(5).normal(size=(40, 60))
+        q = np.random.default_rng(decoder._POWER_SEED).standard_normal(60)
+        q /= np.linalg.norm(q)
+        estimate = estimate_operator_norm(a, iters=1)
+        assert estimate == math.sqrt(q @ (a.T @ (a @ q)))
+        assert estimate <= np.linalg.norm(a, 2)
+
+    def test_budget_beyond_dimension(self):
+        a = np.random.default_rng(6).normal(size=(12, 20))
+        np.testing.assert_allclose(
+            estimate_operator_norm(a, iters=5000), np.linalg.norm(a, 2), rtol=1e-12
+        )
+
+    def test_non_finite_rejected(self):
+        a = np.ones((3, 4))
+        a[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            estimate_operator_norm(a)
 
 
 class TestKnownAnswers:
@@ -273,6 +299,16 @@ class TestBehavior:
         assert not result.converged
         assert result.iterations == 3
         assert result.objective <= np.sum(np.abs(y)) + 1e-12
+
+    def test_sweep_is_bitwise_the_textbook_loop(self):
+        instance = _ensemble_instance(0.05, 0)
+        sweeps = decoder._CHECK_EVERY - 13  # one check, at the last sweep
+        result = decode(instance, 1.0, DecoderConfig(max_iters=sweeps))
+        expected = chambolle_pock(instance.A, instance.y, 1.0, sweeps)
+        assert not result.converged and result.iterations == sweeps
+        # x_hat is the last iterate only because it beats x = 0
+        assert evaluate_objective(instance, expected, 1.0) < np.sum(np.abs(instance.y))
+        assert np.array_equal(result.x_hat, expected)
 
     def test_invalid_penalty(self):
         instance = ProblemInstance(A=np.eye(2), y=np.ones(2))
