@@ -7,8 +7,9 @@ recovery phase boundary of
 
 for Gaussian measurement matrices, sparse Gaussian signals and sparse
 Gaussian corruption, and validates those predictions by decoding sampled
-finite instances with a certified primal-dual solver, finished by one
-exact linear-programming vertex when the iteration crawls.
+finite instances with a certified decoder: a short GAMP prefix routes
+each instance to a primal-dual iteration or to an exact linear-programming
+vertex.
 """
 
 from .decoder import (

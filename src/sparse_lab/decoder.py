@@ -1,19 +1,22 @@
-"""Primal-dual decoder for the L1-L1 reconstruction problem.
+"""Certified decoder for the L1-L1 reconstruction problem.
 
 Solves
 
     min_x  ||y - A x||_1 + lam ||x||_1
 
-with the Chambolle-Pock first-order scheme, finished by an exact HiGHS
-vertex after _LP_HANDOFF uncertified sweeps: first on the columns the
-iterate screens as possibly active (as Gap Safe screening and working-set
-solvers do), then once on the full program if that vertex fails. Both
-objective terms are polyhedral, so exact optimality can be certified: a
-subgradient vector is assembled from a dual vector and its stationarity
-violation, always on the full problem, is measured in the max norm. The
-decoder only reports success when that certificate passes together with
-small primal-dual residuals, whichever of the iteration or a linear
-program produced the point.
+routed by a short damped max-sum GAMP prefix (Rangan, ISIT 2011). Inside
+the perfect-recovery phase GAMP's tau_r collapses, and the Chambolle-Pock
+first-order scheme runs warm-started from GAMP's point, finished by one
+full HiGHS vertex after _LP_HANDOFF uncertified sweeps. Outside it GAMP's
+point screens the rows and columns of a reduced linear program (as Gap
+Safe screening and working-set solvers do), solved exactly by HiGHS, then
+once on the full program if that vertex fails. Both objective terms are
+polyhedral, so exact optimality can be certified: a subgradient vector is
+assembled from a dual vector and its stationarity violation, always on
+the full problem, is measured in the max norm. The decoder only reports
+success when that certificate passes together with small primal-dual
+residuals, whichever of the iteration or a linear program produced the
+point.
 """
 
 from __future__ import annotations
@@ -42,21 +45,26 @@ _ACTIVE_RESIDUAL_SCALE = 1e-8
 # Estimates below this magnitude count as zero in the certificate.
 _SUPPORT_EPS_SCALE = 1e-12
 
-# A run still uncertified after this many sweeps is finished by one exact
-# linear-programming solve. Inside the perfect-recovery phase the iteration
-# certifies in a few hundred sweeps, cheaper than the LP; outside it the
-# iteration crawls for tens of thousands.
+# Damped max-sum GAMP iterations run before the route is chosen; about 4 ms
+# at n = 256, and enough for tau_r to collapse inside the perfect phase.
+_GAMP_ITERS = 100
+
+# GAMP's tau_r falling below this fraction of its first value marks the
+# perfect-recovery phase; outside it tau_r stays near its start.
+_COLLAPSE = 1e-2
+
+# A perfect-phase run still uncertified after this many sweeps is finished by
+# one full LP solve: there the iteration usually certifies in a few hundred.
 _LP_HANDOFF = 500
 
-# The screened finish keeps the columns with |A^T xi|_j >= (1 - _SCREEN_MARGIN)
-# lam or x_j != 0 at the handoff iterate.
+# The reduced LP keeps the columns with |A^T s|_j >= (1 - _SCREEN_MARGIN) lam
+# or x_j != 0 at the GAMP iterate.
 _SCREEN_MARGIN = 0.2
 
-# The screened finish is tried only when the handoff iterate has at most this
-# many unsaturated dual rows per nonzero. A nondegenerate vertex has as many
-# zero-residual rows as nonzeros; inside the perfect-recovery phase far more
-# rows are free, and the restricted duals rarely certify the full problem.
-_DEGENERACY_RATIO = 1.6
+# The reduced LP keeps this many rows per unsaturated GAMP dual row, adding
+# those with the smallest residuals: a vertex needs a zero-residual row per
+# nonzero, and GAMP's free rows miss a few of them.
+_ROW_WIDEN = 1.5
 
 # Sweeps between certificate checks.
 _CHECK_EVERY = 50
@@ -144,8 +152,9 @@ class DecodeResult:
 
     x_hat is the certified point when converged is True, either an iterate
     or an LP vertex, otherwise the best-objective iterate encountered.
-    finish names what produced x_hat: "iteration", "screened-lp" (the LP
-    restricted to the screened columns) or "lp" (the full LP).
+    finish names what produced x_hat: "iteration", "reduced-lp" (the LP
+    reduced to the rows and columns GAMP screens) or "lp" (the full LP).
+    iterations counts GAMP iterations plus primal-dual sweeps.
     """
 
     x_hat: np.ndarray
@@ -253,8 +262,57 @@ def _complementarity_gap(residual: np.ndarray, xi: np.ndarray) -> float:
     return float(np.max(np.abs(residual) + residual * xi, initial=0.0))
 
 
+def _gamp(
+    a: np.ndarray, y: np.ndarray, lam: float, iters: int
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Damped max-sum GAMP with scalar variances, from x = 0 and s = 0.
+
+    The output step is the prox of |y - z| and the input step the soft
+    threshold, with c_row = ||A||_F^2 / m and c_col = ||A||_F^2 / n:
+
+        p = A x - tau_p s,  s = clip((y - p) / tau_p, -1, 1),
+        tau_r = tau_p / (c_col mean(|y - p| < tau_p)),
+        x = soft(x + tau_r A^T s, lam tau_r),
+        tau_p = c_row tau_r mean(x != 0),
+
+    starting from tau_p = c_row. Both means are taken over the undamped
+    updates and floored at one element; s, x and tau_p are then damped by
+    0.5. For any positive variances a fixed point is a KKT point of the
+    L1-L1 program with dual u = s. Stops early once tau_r falls below
+    _COLLAPSE times its first value. Returns the last soft-threshold
+    output (sparse, unlike the damped x), s, the iterations run and
+    whether tau_r collapsed.
+    """
+    m, n = a.shape
+    fro2 = float(np.vdot(a, a))
+    c_row = fro2 / m
+    c_col = fro2 / n
+    x = np.zeros(n)
+    s = np.zeros(m)
+    tau_p = c_row
+    first = 0.0
+    for it in range(1, iters + 1):
+        gap = y - (a @ x - tau_p * s)
+        s = 0.5 * s + 0.5 * np.clip(gap / tau_p, -1.0, 1.0)
+        tau_r = tau_p * m / (c_col * max(np.count_nonzero(np.abs(gap) < tau_p), 1))
+        v = x + tau_r * (a.T @ s)
+        cut = lam * tau_r
+        shrunk = v - v.clip(-cut, cut)
+        x = 0.5 * x + 0.5 * shrunk
+        tau_p = 0.5 * tau_p + 0.5 * c_row * tau_r * max(np.count_nonzero(shrunk), 1) / n
+        first = first or tau_r
+        if tau_r < _COLLAPSE * first:
+            return shrunk, s, it, True
+    return shrunk, s, iters, False
+
+
 def _lp_vertex(
-    a: np.ndarray, y: np.ndarray, lam: float, columns: np.ndarray | slice = slice(None)
+    a: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    columns: np.ndarray | slice = slice(None),
+    rows: np.ndarray | slice = slice(None),
+    u: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Exact minimizer and dual iterate from one HiGHS solve, or None.
 
@@ -262,19 +320,22 @@ def _lp_vertex(
     parts, so the problem reads min lam 1'(x+ + x-) + 1'(r+ + r-) subject
     to [A, -A, I, -I] (x+, x-, r+, r-) = y. The equality duals u are the
     subgradient of ||y - A x||_1, so the decoder's dual iterate is -u.
-    Only the given columns of A enter the program; the others stay zero in
-    the returned point, which is embedded back into R^n. Returns None
-    unless HiGHS reports an optimal solution.
+    Only the given columns and rows of A enter the program. Every other
+    row i is held at the subgradient u_i (u is zero on the kept rows) and
+    enters as the linear cost u_i (y_i - a_i x); the other columns stay
+    zero in the returned point, which is embedded back into R^n. Returns
+    None unless HiGHS reports an optimal solution.
     """
-    sub = a[:, columns]
+    sub = a[rows][:, columns]
     m, k = sub.shape
+    pull = np.zeros(k) if u is None else (a.T @ u)[columns]
     eye = np.eye(m)
     # presolve removes nothing from these dense programs and costs about a
     # third of the solve time
     res = linprog(
-        np.concatenate([np.full(2 * k, lam), np.ones(2 * m)]),
+        np.concatenate([lam - pull, lam + pull, np.ones(2 * m)]),
         A_eq=np.hstack([sub, -sub, eye, -eye]),
-        b_eq=y,
+        b_eq=y[rows],
         bounds=(0.0, None),
         method="highs",
         options={"presolve": False},
@@ -283,7 +344,29 @@ def _lp_vertex(
         return None
     x = np.zeros(a.shape[1])
     x[columns] = res.x[:k] - res.x[k : 2 * k]
-    return x, -res.eqlin.marginals
+    xi = np.zeros(len(y)) if u is None else -u
+    xi[rows] = -res.eqlin.marginals
+    return x, xi
+
+
+def _reduced_program(
+    a: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns, rows and fixed row subgradients of the LP reduced at (x, s).
+
+    Keeps the columns with x_j != 0 or |A^T s|_j >= (1 - _SCREEN_MARGIN)
+    lam, and the rows with |s_i| < 1 widened to _ROW_WIDEN times their
+    count by the smallest |y - A x|; every other row is fixed at
+    u_i = sign(y_i - a_i x).
+    """
+    residual = y - a @ x
+    columns = np.flatnonzero((x != 0.0) | (np.abs(a.T @ s) >= (1.0 - _SCREEN_MARGIN) * lam))
+    free = np.abs(s) < 1.0
+    keep = min(len(y), max(1, math.ceil(_ROW_WIDEN * np.count_nonzero(free))))
+    rows = np.sort(np.argsort(np.where(free, -1.0, np.abs(residual)), kind="stable")[:keep])
+    u = np.sign(residual)
+    u[rows] = 0.0
+    return columns, rows, u
 
 
 def decode(
@@ -291,46 +374,46 @@ def decode(
     lam: float,
     cfg: DecoderConfig = DEFAULT_DECODER,
 ) -> DecodeResult:
-    """Minimize ||y - A x||_1 + lam ||x||_1 from a zero start.
+    """Minimize ||y - A x||_1 + lam ||x||_1, routed by a GAMP prefix.
 
-    Runs the Chambolle-Pock iteration with steps tau = sigma =
-    step_scale / ||A||_2 and extrapolation weight 1, starting from x = 0
-    and a zero dual vector; a sweep is two matrix-vector products, a soft
-    threshold and a dual update done in place, and its iterates are
-    bitwise those of the textbook loop. Optimality is checked every
-    _CHECK_EVERY sweeps. The primal residual is the subgradient
-    certificate scaled by 1 + ||A^T sign(y)||_inf and the dual residual
-    is the worst complementary-slackness violation scaled by
-    1 + ||y||_inf; the run counts as converged only when both fall below
-    their tolerances. A run still uncertified after _LP_HANDOFF sweeps is
-    finished by an exact HiGHS vertex with its equality duals. If the
-    iterate looks nondegenerate (at most _DEGENERACY_RATIO unsaturated
-    dual rows per nonzero of x) and screening drops a column, the first
-    solve keeps only the columns with |A^T xi|_j >= (1 - _SCREEN_MARGIN)
-    lam or x_j != 0, and its vertex is scored against the full problem:
-    a restricted primal with a dual that certifies the full problem is
-    optimal by LP duality. If that vertex is not adopted, or was not
-    tried, the full program is solved once, with no further retry. A
-    vertex is adopted, with iterations = _LP_HANDOFF, only if it does not
-    worsen the best objective seen and passes both tests itself.
-    Otherwise the iteration goes on. Exhausting max_iters returns a
-    result with converged=False rather than raising. Zero data takes the
-    same path: x = 0 is certified exactly at the first check, so
-    iterations reads min(_CHECK_EVERY, max_iters). A zero measurement
-    matrix is rejected.
+    Non-finite data and a zero measurement matrix are rejected. The run
+    starts with up to _GAMP_ITERS iterations of damped max-sum GAMP (see
+    _gamp), which needs only ||A||_F, and takes its route from them:
+
+    - If GAMP's tau_r collapses, the instance sits inside the perfect-
+      recovery phase. The Chambolle-Pock iteration runs, warm-started from
+      GAMP's x and xi = -s, with steps tau = sigma = step_scale / ||A||_2
+      (estimate_operator_norm, computed only when sweeps run) and
+      extrapolation weight 1; a sweep is two matrix-vector products, a soft threshold
+      and a dual update done in place, and its iterates are bitwise those
+      of the textbook loop. A run still uncertified after _LP_HANDOFF
+      sweeps is finished by one full-program HiGHS vertex.
+    - Otherwise, after the whole prefix, the LP reduced at GAMP's (x, s)
+      is solved (see _reduced_program), then, if its vertex is not
+      adopted, the full program once; if neither is adopted the
+      iteration runs from GAMP's point as above, with no further LP.
+
+    Every point is scored on the full problem. The primal residual is the
+    subgradient certificate scaled by 1 + ||A^T sign(y)||_inf and the dual
+    residual is the worst complementary-slackness violation scaled by
+    1 + ||y||_inf; a point counts as converged only when both fall below
+    their tolerances. The iteration is checked every _CHECK_EVERY sweeps.
+    An LP vertex (with its equality duals) is adopted only if it does not
+    worsen the best objective seen and passes both tests itself: a
+    restricted primal with a dual that certifies the full problem is
+    optimal by LP duality. iterations counts GAMP iterations plus sweeps,
+    and max_iters bounds that sum; a budget that ends inside the prefix
+    ends the run there. Exhausting max_iters returns the best-objective
+    iterate seen (from x = 0) with converged=False rather than raising.
     """
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam!r}")
     a = instance.A
     y = instance.y
-    norm_a = estimate_operator_norm(a, cfg.power_iters, cfg.power_tol)
-    if norm_a == 0.0:
+    if not (np.isfinite(a).all() and np.isfinite(y).all()):
+        raise ValueError("A and y must be finite")
+    if not np.any(a):
         raise ValueError("measurement matrix is identically zero")
-
-    step = cfg.step_scale / norm_a
-    tau = step
-    sigma = step
-    cut = tau * lam
 
     y_scale = 1.0 + float(np.max(np.abs(y)))
     active_eps = _ACTIVE_RESIDUAL_SCALE * y_scale
@@ -344,74 +427,72 @@ def decode(
         cert = _certificate_norm(a, x, xi, residual, lam, active_eps, support_eps)
         return obj, cert / cert_scale, _complementarity_gap(residual, xi) / y_scale
 
-    x = np.zeros(instance.n)
-    xi = np.zeros(instance.m)
-    at_xi = np.zeros(instance.n)
+    def certified(vertex: tuple[np.ndarray, np.ndarray] | None):
+        """(x, objective, residuals) of an LP vertex that may be adopted, else None."""
+        if vertex is None:
+            return None
+        obj, primal_res, dual_res = score(*vertex)
+        if obj <= best_obj and primal_res <= cfg.primal_tol and dual_res <= cfg.dual_tol:
+            return vertex[0], obj, primal_res, dual_res
+        return None
 
-    best_obj = evaluate_objective(instance, x, lam)
-    best_x = x.copy()
+    best_obj = float(np.sum(np.abs(y)))
+    best_x = np.zeros(instance.n)
 
-    converged = False
+    x, s, prefix, collapsed = _gamp(a, y, lam, min(_GAMP_ITERS, cfg.max_iters))
+    xi = -s
+    done = None
     finish = "iteration"
-    iterations = 0
-
-    for sweep in range(1, cfg.max_iters + 1):
-        iterations = sweep
-        v = x - tau * at_xi
-        x_new = v - v.clip(-cut, cut)  # soft threshold at cut
-        x_bar = 2.0 * x_new - x
-        xi_new = a @ x_bar  # clip(xi + sigma (A x_bar - y), -1, 1), in place
-        xi_new -= y
-        xi_new *= sigma
-        xi_new += xi
-        xi_new.clip(-1.0, 1.0, out=xi_new)
-        at_xi_new = a.T @ xi_new
-
-        if sweep % _CHECK_EVERY == 0 or sweep == cfg.max_iters:
-            final_x = x_new
-            final_obj, primal_res, dual_res = score(x_new, xi_new)
-            if final_obj < best_obj:
-                best_obj = final_obj
-                best_x = x_new.copy()
-            if primal_res <= cfg.primal_tol and dual_res <= cfg.dual_tol:
-                converged = True
+    if not collapsed and prefix == _GAMP_ITERS:
+        for path, program in (("reduced-lp", _reduced_program(a, y, lam, x, s)), ("lp", ())):
+            done = certified(_lp_vertex(a, y, lam, *program))
+            if done is not None:
+                finish = path
                 break
 
-        if sweep == _LP_HANDOFF:
-            nonzero = x_new != 0.0
-            free_rows = np.count_nonzero(np.abs(xi_new) < 1.0)
-            nondegenerate = free_rows <= _DEGENERACY_RATIO * np.count_nonzero(nonzero)
-            screened = np.flatnonzero(
-                nonzero | (np.abs(at_xi_new) >= (1.0 - _SCREEN_MARGIN) * lam)
-            )
-            finishes = [("lp", slice(None))]
-            if nondegenerate and screened.size < instance.n:
-                finishes.insert(0, ("screened-lp", screened))
-            for path, columns in finishes:
-                vertex = _lp_vertex(a, y, lam, columns)
-                if vertex is None:
-                    continue
-                final_x, xi_lp = vertex
-                final_obj, primal_res, dual_res = score(final_x, xi_lp)
-                if (
-                    final_obj <= best_obj
-                    and primal_res <= cfg.primal_tol
-                    and dual_res <= cfg.dual_tol
-                ):
-                    converged = True
-                    finish = path
+    iterations = prefix
+    if done is None and prefix < cfg.max_iters:
+        step = cfg.step_scale / estimate_operator_norm(a, cfg.power_iters, cfg.power_tol)
+        tau = step
+        sigma = step
+        cut = tau * lam
+        at_xi = a.T @ xi
+        for iterations in range(prefix + 1, cfg.max_iters + 1):
+            sweep = iterations - prefix
+            v = x - tau * at_xi
+            x_new = v - v.clip(-cut, cut)  # soft threshold at cut
+            x_bar = 2.0 * x_new - x
+            xi_new = a @ x_bar  # clip(xi + sigma (A x_bar - y), -1, 1), in place
+            xi_new -= y
+            xi_new *= sigma
+            xi_new += xi
+            xi_new.clip(-1.0, 1.0, out=xi_new)
+            at_xi_new = a.T @ xi_new
+
+            if sweep % _CHECK_EVERY == 0 or iterations == cfg.max_iters:
+                obj, primal_res, dual_res = score(x_new, xi_new)
+                if obj < best_obj:
+                    best_obj = obj
+                    best_x = x_new.copy()
+                if primal_res <= cfg.primal_tol and dual_res <= cfg.dual_tol:
+                    done = (x_new, obj, primal_res, dual_res)
                     break
-            if converged:
-                break
 
-        x = x_new
-        xi = xi_new
-        at_xi = at_xi_new
+            if collapsed and sweep == _LP_HANDOFF:
+                done = certified(_lp_vertex(a, y, lam))
+                if done is not None:
+                    finish = "lp"
+                    break
 
+            x = x_new
+            xi = xi_new
+            at_xi = at_xi_new
+
+    converged = done is not None
     if not converged:
         # report the best point seen, with its own residuals
-        final_x = best_x
-        final_obj, primal_res, dual_res = score(final_x, xi)
+        done = (best_x, *score(best_x, xi))
+    final_x, final_obj, primal_res, dual_res = done
 
     return DecodeResult(
         x_hat=final_x,

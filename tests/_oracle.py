@@ -129,16 +129,18 @@ def random_tiny_instance(rng: np.random.Generator):
     return a, y, lam
 
 
-def chambolle_pock(a: np.ndarray, y: np.ndarray, lam: float, sweeps: int) -> np.ndarray:
-    """Primal iterate after `sweeps` Chambolle-Pock sweeps from zero.
+def chambolle_pock(
+    a: np.ndarray, y: np.ndarray, lam: float, sweeps: int, x=None, xi=None
+) -> np.ndarray:
+    """Primal iterate after `sweeps` Chambolle-Pock sweeps from (x, xi), zero by default.
 
     Steps tau = sigma = step_scale / ||A||_2 with the decoder's default
     step_scale and operator-norm budget; extrapolation weight 1.
     """
     cfg = DEFAULT_DECODER
     tau = sigma = cfg.step_scale / estimate_operator_norm(a, cfg.power_iters, cfg.power_tol)
-    x = np.zeros(a.shape[1])
-    xi = np.zeros(a.shape[0])
+    x = np.zeros(a.shape[1]) if x is None else x
+    xi = np.zeros(a.shape[0]) if xi is None else xi
     for _ in range(sweeps):
         v = x - tau * (a.T @ xi)
         x_new = np.sign(v) * np.maximum(np.abs(v) - tau * lam, 0.0)

@@ -223,10 +223,11 @@ def test_criterion_07_finite_size_error_agreement(capsys):
     are decoded by the exact LP reference; the n = 256 one keeps seed
     12345, so its first 50 trials are the program's instances, and the
     program's mean must match the reference mean on them. The program
-    finishes these decodes with its own HiGHS vertex after 500 sweeps, so
-    that gap now guards the handoff wiring (the formulation, the sign of
-    the duals, the adoption rule); the certificate every decode must pass
-    stays the independent check. The other N use
+    finishes these decodes with its own HiGHS vertex, of the program
+    reduced at a 100-iteration GAMP point or of the full program, so that
+    gap now guards the LP wiring (the formulation, the row reduction, the
+    sign of the duals, the adoption rule); the certificate every decode
+    must pass stays the independent check. The other N use
     their own seeds, so the per-N means are independent. At n = 256 the
     decoded error is 10-40% above the prediction and the excess shrinks
     like 1/N, so the 15% tolerance applies to the extrapolated error, and

@@ -20,7 +20,7 @@ from sparse_lab.replica import SystemParams
 
 
 def _crawling_instance():
-    """24 x 48 instance the primal-dual iteration certifies only after 4,350 sweeps."""
+    """24 x 48 instance the primal-dual iteration certifies only after 4,350 sweeps from zero."""
     rng = np.random.default_rng(29)
     a = rng.normal(size=(24, 48)) / np.sqrt(48)
     x0 = np.where(rng.random(48) < 0.1, rng.normal(size=48), 0.0)
@@ -189,15 +189,14 @@ class TestLpReference:
             np.testing.assert_allclose(value, grid_objective(a, y, lam), atol=1e-5)
 
     def test_matches_certified_decode(self, monkeypatch):
-        """The pure primal-dual iteration, with the LP finish pushed past the budget."""
+        """The pure primal-dual iteration, with every LP solve failing."""
         instance = _crawling_instance()
         cfg = DecoderConfig(primal_tol=1e-9, dual_tol=1e-9)
-        handoff = decoder._LP_HANDOFF
-        monkeypatch.setattr(decoder, "_LP_HANDOFF", cfg.max_iters + 1)
+        monkeypatch.setattr(decoder, "linprog", lambda *args, **kwargs: SimpleNamespace(status=4))
         result = decode(instance, 1.0, cfg)
         assert result.converged
         assert result.finish == "iteration"
-        assert result.iterations > handoff
+        assert result.iterations > decoder._LP_HANDOFF
         x = lp_decode(instance.A, instance.y, 1.0)
         np.testing.assert_allclose(
             evaluate_objective(instance, x, 1.0), result.objective, rtol=1e-9
@@ -206,15 +205,15 @@ class TestLpReference:
 
 
 class TestExactFinish:
-    """Runs still uncertified after _LP_HANDOFF sweeps are finished by HiGHS."""
+    """HiGHS finishes: the reduced then the full LP outside the perfect phase,
+    the full LP after _LP_HANDOFF uncertified sweeps inside it."""
 
     def test_crawling_run_takes_the_lp_vertex(self):
         instance = _crawling_instance()
         cfg = DecoderConfig(primal_tol=1e-9, dual_tol=1e-9)
         result = decode(instance, 1.0, cfg)
         assert result.converged
-        assert result.finish in ("screened-lp", "lp")
-        assert result.iterations == decoder._LP_HANDOFF == 500
+        assert result.finish != "iteration"
         assert result.primal_residual <= cfg.primal_tol
         assert result.dual_residual <= cfg.dual_tol
         x = lp_decode(instance.A, instance.y, 1.0)
@@ -231,53 +230,69 @@ class TestExactFinish:
 
         monkeypatch.setattr(decoder, "linprog", failing_linprog)
         result = decode(_crawling_instance(), 1.0, DecoderConfig(max_iters=600))
-        # the handoff iterate passes the degeneracy gate: the screened solve,
-        # then the full one
+        # GAMP routes the run to the LP: the reduced solve, then the full one,
+        # then the iteration for the rest of the budget
         assert len(calls) == 2
         assert result.converged is False
         assert result.finish == "iteration"
         assert result.iterations == 600
 
-    def test_screened_solve_finishes_out_of_phase_run(self, monkeypatch):
+    def test_reduced_solve_finishes_out_of_phase_run(self, monkeypatch):
         instance = _ensemble_instance(0.11, 1)
         shapes = _recording_linprog(monkeypatch)
         result = decode(instance, 1.0)
         assert result.converged
-        assert result.finish == "screened-lp"
-        assert result.iterations == decoder._LP_HANDOFF
+        assert result.finish == "reduced-lp"
+        assert result.iterations == decoder._GAMP_ITERS
         assert len(shapes) == 1
         m, n = instance.A.shape
+        assert shapes[0][0] < m
         assert shapes[0][1] < 2 * n + 2 * m
         x = lp_decode(instance.A, instance.y, 1.0)
         np.testing.assert_allclose(
             result.objective, evaluate_objective(instance, x, 1.0), rtol=1e-9
         )
 
-    def test_uncertified_screened_vertex_falls_back_to_full_lp(self, monkeypatch):
+    def test_uncertified_reduced_vertex_falls_back_to_full_lp(self, monkeypatch):
         instance = _ensemble_instance(0.11, 1)
         shapes = _recording_linprog(monkeypatch, corrupt_first=True)
         cfg = DecoderConfig()
         result = decode(instance, 1.0, cfg)
         assert result.converged
         assert result.finish == "lp"
-        assert result.iterations == decoder._LP_HANDOFF
+        assert result.iterations == decoder._GAMP_ITERS
         m, n = instance.A.shape
         assert len(shapes) == 2
-        assert shapes[0][1] < 2 * n + 2 * m
+        assert shapes[0][0] < m and shapes[0][1] < 2 * n + 2 * m
         assert shapes[1] == (m, 2 * n + 2 * m)
         assert result.primal_residual <= cfg.primal_tol
         assert result.dual_residual <= cfg.dual_tol
 
     def test_perfect_phase_handoff_solves_the_full_lp(self, monkeypatch):
-        """A degenerate handoff iterate skips the screened solve."""
+        """A perfect-phase run uncertified after the handoff skips the reduced solve."""
         instance = _ensemble_instance(0.02, 2)
+        _, _, prefix, collapsed = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
+        assert collapsed
         shapes = _recording_linprog(monkeypatch)
         result = decode(instance, 1.0)
         assert result.converged
         assert result.finish == "lp"
-        assert result.iterations == decoder._LP_HANDOFF
+        assert result.iterations == prefix + decoder._LP_HANDOFF
         m, n = instance.A.shape
         assert shapes == [(m, 2 * n + 2 * m)]
+
+    def test_perfect_phase_run_certifies_by_iteration(self, monkeypatch):
+        """Cold sweeps reach the handoff uncertified here; from GAMP's point they certify."""
+        instance = _ensemble_instance(0.02, 12)
+        shapes = _recording_linprog(monkeypatch)
+        cfg = DecoderConfig()
+        result = decode(instance, 1.0, cfg)
+        assert result.converged
+        assert result.finish == "iteration"
+        assert shapes == []
+        assert result.primal_residual <= cfg.primal_tol
+        assert result.dual_residual <= cfg.dual_tol
+        np.testing.assert_allclose(result.x_hat, instance.x0, atol=1e-8)
 
 
 class TestBehavior:
@@ -302,10 +317,12 @@ class TestBehavior:
 
     def test_sweep_is_bitwise_the_textbook_loop(self):
         instance = _ensemble_instance(0.05, 0)
+        x, s, prefix, collapsed = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
+        assert collapsed  # the sweeps start warm from GAMP's point
         sweeps = decoder._CHECK_EVERY - 13  # one check, at the last sweep
-        result = decode(instance, 1.0, DecoderConfig(max_iters=sweeps))
-        expected = chambolle_pock(instance.A, instance.y, 1.0, sweeps)
-        assert not result.converged and result.iterations == sweeps
+        result = decode(instance, 1.0, DecoderConfig(max_iters=prefix + sweeps))
+        expected = chambolle_pock(instance.A, instance.y, 1.0, sweeps, x, -s)
+        assert not result.converged and result.iterations == prefix + sweeps
         # x_hat is the last iterate only because it beats x = 0
         assert evaluate_objective(instance, expected, 1.0) < np.sum(np.abs(instance.y))
         assert np.array_equal(result.x_hat, expected)
@@ -321,6 +338,17 @@ class TestBehavior:
         instance = ProblemInstance(A=np.zeros((3, 3)), y=np.ones(3))
         with pytest.raises(ValueError):
             decode(instance, 1.0)
+
+    @pytest.mark.parametrize("where, value", [("A", np.nan), ("y", np.nan), ("y", np.inf)])
+    def test_non_finite_data_rejected(self, monkeypatch, where, value):
+        instance = _ensemble_instance(0.11, 0)
+        data = {"A": instance.A.copy(), "y": instance.y.copy()}
+        data[where].flat[3] = value
+        shapes = _recording_linprog(monkeypatch)
+        for cfg in (DecoderConfig(), DecoderConfig(max_iters=3)):
+            with pytest.raises(ValueError, match="A and y must be finite"):
+                decode(ProblemInstance(**data), 1.0, cfg)
+        assert shapes == []
 
 
 class TestProblemInstance:
