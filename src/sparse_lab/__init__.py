@@ -12,84 +12,12 @@ each instance to a primal-dual iteration or to an exact linear-programming
 vertex.
 """
 
-from .decoder import (
-    DEFAULT_DECODER,
-    DecodeResult,
-    DecoderConfig,
-    ProblemInstance,
-    decode,
-    estimate_operator_norm,
-    evaluate_objective,
-)
-from .experiments import (
-    Aggregate,
-    EnsembleSpec,
-    PhaseDiagramRow,
-    TrialSummary,
-    run_monte_carlo,
-    run_trial,
-    sample_instance,
-    sample_mixture,
-    sweep_phase_diagram,
-)
-from .replica import (
-    DEFAULT_SOLVER,
-    BracketError,
-    FixedPointError,
-    FixedPointState,
-    LambdaOptimum,
-    ObjectiveProbeError,
-    SolverConfig,
-    SystemParams,
-    ThresholdState,
-    find_critical_alpha,
-    find_critical_rho_x,
-    optimize_lambda,
-    solve_mse_fixed_point,
-    solve_threshold_fixed_point,
-)
-from .special import gauss_pdf, q_function, r_lambda, s_func
+from . import decoder, experiments, replica, special
+from .decoder import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .replica import *  # noqa: F403
+from .special import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # special functions
-    "q_function",
-    "gauss_pdf",
-    "s_func",
-    "r_lambda",
-    # asymptotic solvers
-    "SystemParams",
-    "SolverConfig",
-    "DEFAULT_SOLVER",
-    "FixedPointState",
-    "ThresholdState",
-    "FixedPointError",
-    "BracketError",
-    "ObjectiveProbeError",
-    "LambdaOptimum",
-    "solve_mse_fixed_point",
-    "solve_threshold_fixed_point",
-    "find_critical_rho_x",
-    "find_critical_alpha",
-    "optimize_lambda",
-    # decoding
-    "ProblemInstance",
-    "DecoderConfig",
-    "DEFAULT_DECODER",
-    "DecodeResult",
-    "decode",
-    "estimate_operator_norm",
-    "evaluate_objective",
-    # finite-size experiments
-    "EnsembleSpec",
-    "TrialSummary",
-    "Aggregate",
-    "PhaseDiagramRow",
-    "sample_mixture",
-    "sample_instance",
-    "run_trial",
-    "run_monte_carlo",
-    "sweep_phase_diagram",
-]
+__all__ = ["__version__", *special.__all__, *replica.__all__, *decoder.__all__, *experiments.__all__]

@@ -163,13 +163,13 @@ def _add_system_flags(p: argparse.ArgumentParser, with_variances: bool = True) -
     p.add_argument("--rho-w", type=float, required=True, help="noise density")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0, help="penalty weight")
     if with_variances:
-        p.add_argument("--sigma2-x", type=float, default=1.0, help="signal component variance")
-        p.add_argument("--sigma2-w", type=float, default=1.0, help="noise component variance")
+        d = SystemParams
+        p.add_argument("--sigma2-x", type=float, default=d.sigma2_x, help="signal component variance")
+        p.add_argument("--sigma2-w", type=float, default=d.sigma2_w, help="noise component variance")
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
     d = DEFAULT_DECODER
-    p.add_argument("--step-scale", type=float, default=d.step_scale, help="decoder step size safety factor")
     p.add_argument("--decoder-tol", type=float, default=d.primal_tol, help="decoder certificate tolerance")
     p.add_argument("--decoder-max-iters", type=int, default=d.max_iters, help="decoder sweep budget")
 
@@ -199,7 +199,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 def _decoder_config(args: argparse.Namespace) -> DecoderConfig:
     return DecoderConfig(
-        step_scale=args.step_scale,
         primal_tol=args.decoder_tol,
         dual_tol=args.decoder_tol,
         max_iters=args.decoder_max_iters,
@@ -311,7 +310,6 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
             state = solve_mse_fixed_point(params, cfg)
         except FixedPointError:
             record["status"] = "failed"
-            record["iterations"] = math.nan
         else:
             record["status"] = "perfect" if state.perfect else "converged"
             record["mse"] = 0.0 if state.perfect else state.mse

@@ -34,7 +34,6 @@ __all__ = [
     "DEFAULT_DECODER",
     "DecodeResult",
     "estimate_operator_norm",
-    "evaluate_objective",
     "decode",
 ]
 
@@ -68,6 +67,10 @@ _ROW_WIDEN = 1.5
 
 # Sweeps between certificate checks.
 _CHECK_EVERY = 50
+
+# Primal and dual steps are both this fraction of 1 / ||A||_2. Any value
+# below 1 converges (Chambolle & Pock, JMIV 2011); it sets speed, not answer.
+_STEP_SCALE = 0.99
 
 _POWER_SEED = 0x5EED
 
@@ -119,9 +122,8 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Step sizing, stopping tolerances and iteration budgets."""
+    """Stopping tolerances and budgets; the primal-dual step is fixed at 0.99 / ||A||_2."""
 
-    step_scale: float = 0.99
     primal_tol: float = 1e-9
     dual_tol: float = 1e-9
     max_iters: int = 100_000
@@ -129,8 +131,6 @@ class DecoderConfig:
     power_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.step_scale < 1.0:
-            raise ValueError(f"step_scale must lie in (0, 1), got {self.step_scale!r}")
         if not self.primal_tol > 0.0:
             raise ValueError(f"primal_tol must be positive, got {self.primal_tol!r}")
         if not self.dual_tol > 0.0:
@@ -166,7 +166,9 @@ class DecodeResult:
     finish: str
 
 
-def estimate_operator_norm(A: np.ndarray, iters: int = 200, tol: float = 1e-12) -> float:
+def estimate_operator_norm(
+    A: np.ndarray, iters: int = DecoderConfig.power_iters, tol: float = DecoderConfig.power_tol
+) -> float:
     """Largest singular value of A by Krylov iteration on A^T A.
 
     Lanczos with full reorthogonalization, at most iters applications of
@@ -213,15 +215,6 @@ def estimate_operator_norm(A: np.ndarray, iters: int = 200, tol: float = 1e-12) 
     return math.sqrt(max(top, 0.0))
 
 
-def evaluate_objective(instance: ProblemInstance, x: np.ndarray, lam: float) -> float:
-    """Objective ||y - A x||_1 + lam ||x||_1 at the point x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (instance.n,):
-        raise ValueError(f"x must have shape ({instance.n},), got {x.shape}")
-    residual = instance.y - instance.A @ x
-    return float(np.sum(np.abs(residual)) + lam * np.sum(np.abs(x)))
-
-
 def _certificate_norm(
     a: np.ndarray,
     x: np.ndarray,
@@ -229,7 +222,6 @@ def _certificate_norm(
     residual: np.ndarray,
     lam: float,
     active_eps: float,
-    support_eps: float,
 ) -> float:
     """Max-norm violation of the subgradient stationarity condition.
 
@@ -241,7 +233,7 @@ def _certificate_norm(
     """
     u = np.where(np.abs(residual) > active_eps, np.sign(residual), np.clip(-xi, -1.0, 1.0))
     t = a.T @ u
-    on_support = np.abs(x) > support_eps
+    on_support = np.abs(x) > _SUPPORT_EPS_SCALE
     worst = 0.0
     if np.any(on_support):
         worst = float(np.max(np.abs(lam * np.sign(x[on_support]) - t[on_support])))
@@ -382,7 +374,7 @@ def decode(
 
     - If GAMP's tau_r collapses, the instance sits inside the perfect-
       recovery phase. The Chambolle-Pock iteration runs, warm-started from
-      GAMP's x and xi = -s, with steps tau = sigma = step_scale / ||A||_2
+      GAMP's x and xi = -s, with the fixed step tau = sigma = 0.99 / ||A||_2
       (estimate_operator_norm, computed only when sweeps run) and
       extrapolation weight 1; a sweep is two matrix-vector products, a soft threshold
       and a dual update done in place, and its iterates are bitwise those
@@ -417,14 +409,13 @@ def decode(
 
     y_scale = 1.0 + float(np.max(np.abs(y)))
     active_eps = _ACTIVE_RESIDUAL_SCALE * y_scale
-    support_eps = _SUPPORT_EPS_SCALE
     cert_scale = 1.0 + float(np.max(np.abs(a.T @ np.sign(y))))
 
     def score(x: np.ndarray, xi: np.ndarray) -> tuple[float, float, float]:
         """Objective and both scaled residuals of (x, xi)."""
         residual = y - a @ x
         obj = float(np.sum(np.abs(residual)) + lam * np.sum(np.abs(x)))
-        cert = _certificate_norm(a, x, xi, residual, lam, active_eps, support_eps)
+        cert = _certificate_norm(a, x, xi, residual, lam, active_eps)
         return obj, cert / cert_scale, _complementarity_gap(residual, xi) / y_scale
 
     def certified(vertex: tuple[np.ndarray, np.ndarray] | None):
@@ -452,19 +443,17 @@ def decode(
 
     iterations = prefix
     if done is None and prefix < cfg.max_iters:
-        step = cfg.step_scale / estimate_operator_norm(a, cfg.power_iters, cfg.power_tol)
-        tau = step
-        sigma = step
-        cut = tau * lam
+        step = _STEP_SCALE / estimate_operator_norm(a, cfg.power_iters, cfg.power_tol)
+        cut = step * lam
         at_xi = a.T @ xi
         for iterations in range(prefix + 1, cfg.max_iters + 1):
             sweep = iterations - prefix
-            v = x - tau * at_xi
+            v = x - step * at_xi
             x_new = v - v.clip(-cut, cut)  # soft threshold at cut
             x_bar = 2.0 * x_new - x
-            xi_new = a @ x_bar  # clip(xi + sigma (A x_bar - y), -1, 1), in place
+            xi_new = a @ x_bar  # clip(xi + step (A x_bar - y), -1, 1), in place
             xi_new -= y
-            xi_new *= sigma
+            xi_new *= step
             xi_new += xi
             xi_new.clip(-1.0, 1.0, out=xi_new)
             at_xi_new = a.T @ xi_new

@@ -533,8 +533,8 @@ def optimize_lambda(
     alpha: float | None = None,
     rho_x: float | None = None,
     rho_w: float,
-    sigma2_x: float = 1.0,
-    sigma2_w: float = 1.0,
+    sigma2_x: float = SystemParams.sigma2_x,
+    sigma2_w: float = SystemParams.sigma2_w,
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> LambdaOptimum:
     """Bounded Brent search for the best penalty weight.

@@ -139,10 +139,6 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _worst(pairs: list[tuple[float, float]], scale: float = 1.0) -> float:
-    return max(abs(a - b) / scale for a, b in pairs)
-
-
 def check_tail_reflection() -> CheckResult:
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -301,7 +297,7 @@ def check_config_validation() -> CheckResult:
     probes: list[Callable[[], object]] = [
         lambda: SystemParams(alpha=0.5, lam=-1.0, rho_x=0.1, rho_w=0.1),
         lambda: SystemParams(alpha=0.5, lam=1.0, rho_x=1.5, rho_w=0.1),
-        lambda: DecoderConfig(step_scale=1.5),
+        lambda: DecoderConfig(max_iters=0),
         lambda: s_func(0.0),
         lambda: r_lambda(1.0, -1.0),
         lambda: phi_lambda_oracle(1.0, 1.0, 0.0),

@@ -13,7 +13,7 @@ Intended for n <= 3 only.
 
 lp_decode solves problems of any size exactly as a linear program, with
 HiGHS through scipy, and reference_squared_error scores one sampled
-trial with it.
+trial with it. evaluate_objective is the objective at a given point.
 
 chambolle_pock is the textbook primal-dual loop the decoder's sweep
 implements, written the plain way, for bitwise comparison.
@@ -22,7 +22,7 @@ implements, written the plain way, for bitwise comparison.
 import numpy as np
 from scipy.optimize import linprog
 
-from sparse_lab.decoder import DEFAULT_DECODER, estimate_operator_norm
+from sparse_lab.decoder import _STEP_SCALE, ProblemInstance, estimate_operator_norm
 from sparse_lab.experiments import EnsembleSpec, sample_instance
 
 REFINEMENTS = 7
@@ -80,6 +80,15 @@ def grid_objective(a: np.ndarray, y: np.ndarray, lam: float) -> float:
     return best_value
 
 
+def evaluate_objective(instance: ProblemInstance, x: np.ndarray, lam: float) -> float:
+    """Objective ||y - A x||_1 + lam ||x||_1 at the point x."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (instance.n,):
+        raise ValueError(f"x must have shape ({instance.n},), got {x.shape}")
+    residual = instance.y - instance.A @ x
+    return float(np.sum(np.abs(residual)) + lam * np.sum(np.abs(x)))
+
+
 def lp_decode(a: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Exact minimizer of ||y - A x||_1 + lam ||x||_1 at an LP vertex.
 
@@ -134,11 +143,10 @@ def chambolle_pock(
 ) -> np.ndarray:
     """Primal iterate after `sweeps` Chambolle-Pock sweeps from (x, xi), zero by default.
 
-    Steps tau = sigma = step_scale / ||A||_2 with the decoder's default
-    step_scale and operator-norm budget; extrapolation weight 1.
+    Steps tau = sigma = 0.99 / ||A||_2 with the decoder's default
+    operator-norm budget; extrapolation weight 1.
     """
-    cfg = DEFAULT_DECODER
-    tau = sigma = cfg.step_scale / estimate_operator_norm(a, cfg.power_iters, cfg.power_tol)
+    tau = sigma = _STEP_SCALE / estimate_operator_norm(a)
     x = np.zeros(a.shape[1]) if x is None else x
     xi = np.zeros(a.shape[0]) if xi is None else xi
     for _ in range(sweeps):

@@ -1,15 +1,17 @@
 """Command-line interface: exit codes, formats, config and seed plumbing;
-the package's exported names."""
+the package's exported names and where each default lives."""
 
 import csv
+import inspect
 import json
 import os
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
 
 import pytest
 
 import sparse_lab
-from sparse_lab import __version__, experiments, selftest
+from sparse_lab import __version__, cli, decoder, experiments, replica, selftest, special
 from sparse_lab.cli import main
 
 
@@ -39,6 +41,57 @@ class TestPublicNames:
     def test_every_exported_name_resolves(self, module):
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing
+
+    def test_package_names_are_pinned(self):
+        assert sparse_lab.__all__ == [
+            "__version__",
+            "q_function", "gauss_pdf", "s_func", "r_lambda",
+            "SystemParams", "SolverConfig", "DEFAULT_SOLVER", "FixedPointState", "ThresholdState",
+            "FixedPointError", "BracketError", "ObjectiveProbeError", "LambdaOptimum",
+            "solve_mse_fixed_point", "solve_threshold_fixed_point", "find_critical_rho_x",
+            "find_critical_alpha", "optimize_lambda",
+            "ProblemInstance", "DecoderConfig", "DEFAULT_DECODER", "DecodeResult",
+            "estimate_operator_norm", "decode",
+            "EnsembleSpec", "TrialSummary", "Aggregate", "PhaseDiagramRow", "sample_mixture",
+            "sample_instance", "run_trial", "run_monte_carlo", "sweep_phase_diagram",
+        ]
+
+    def test_package_names_are_the_module_lists(self):
+        modules = (special, replica, decoder, experiments)
+        assert sparse_lab.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+
+
+class TestDefaults:
+    """Each default has one owner; the CLI and helper signatures read it."""
+
+    VARIANCES = [f.default for f in fields(replica.SystemParams) if f.name.startswith("sigma2")]
+    MC = ["mc", "--rho-w", "0.1"]
+    CURVE = ["mse-curve", "--rho-w", "0.1", "--grid-start", "0.1", "--grid-stop", "0.2",
+             "--grid-count", "2"]
+
+    @pytest.mark.parametrize("argv", [MC, CURVE], ids=["mc", "mse-curve"])
+    def test_decoder_and_variance_flags(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._decoder_config(args) == decoder.DEFAULT_DECODER
+        assert [args.sigma2_x, args.sigma2_w] == self.VARIANCES
+
+    def test_solver_flags(self):
+        args = cli.build_parser().parse_args(self.CURVE)
+        assert cli._solver_config(args) == replica.DEFAULT_SOLVER
+
+    def test_optimize_lambda_variances(self):
+        params = inspect.signature(replica.optimize_lambda).parameters
+        assert [params["sigma2_x"].default, params["sigma2_w"].default] == self.VARIANCES
+
+    def test_operator_norm_budget(self):
+        params = inspect.signature(decoder.estimate_operator_norm).parameters
+        assert params["iters"].default == decoder.DEFAULT_DECODER.power_iters
+        assert params["tol"].default == decoder.DEFAULT_DECODER.power_tol
+
+    def test_step_is_not_a_flag(self, capsys):
+        code, _, _ = run_cli([*self.MC, "--alpha", "0.5", "--rho-x", "0.1", "--step-scale", "0.5"],
+                             capsys)
+        assert code == 2
 
 
 class TestExitCodes:

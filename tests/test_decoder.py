@@ -6,15 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from _oracle import chambolle_pock, grid_objective, lp_decode, random_tiny_instance
-from sparse_lab import decoder
-from sparse_lab.decoder import (
-    DecoderConfig,
-    ProblemInstance,
-    decode,
-    estimate_operator_norm,
+from _oracle import (
+    chambolle_pock,
     evaluate_objective,
+    grid_objective,
+    lp_decode,
+    random_tiny_instance,
 )
+from sparse_lab import decoder
+from sparse_lab.decoder import DecoderConfig, ProblemInstance, decode, estimate_operator_norm
 from sparse_lab.experiments import EnsembleSpec, sample_instance
 from sparse_lab.replica import SystemParams
 
