@@ -140,9 +140,9 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     d = DEFAULT_SOLVER
-    p.add_argument("--damping", type=float, default=d.damping, help="iteration damping in [0, 1)")
-    p.add_argument("--rel-tol", type=float, default=d.rel_tol, help="fixed point relative tolerance")
-    p.add_argument("--max-iters", type=int, default=d.max_iters, help="fixed point sweep budget")
+    p.add_argument("--damping", type=float, default=d.damping, help="mse fixed point damping in [0, 1)")
+    p.add_argument("--rel-tol", type=float, default=d.rel_tol, help="mse sweep / threshold root tolerance")
+    p.add_argument("--max-iters", type=int, default=d.max_iters, help="mse sweeps / threshold evaluations")
     p.add_argument(
         "--lambda-min", type=float, default=d.lambda_bracket[0], help="penalty search bracket, lower end"
     )

@@ -15,12 +15,14 @@ M/N -> alpha. Two coupled descriptions are implemented:
   reconstruction phase, whose stability condition locates the phase
   boundary.
 
-Both are solved by one damped forward iteration, _damped_iteration, whose
-budget counts accepted sweeps; the overlap diagnostics of the error fixed
-point are evaluated once, for the state a solve returns or raises. The
-boundary is then pinned in rho_x or alpha by Brent's root finder (scipy's
-brentq), and Brent's bounded minimizer (scipy's minimize_scalar) tunes the
-penalty weight lam.
+The error fixed point is solved by damped forward iteration, whose budget
+counts accepted sweeps; its overlap diagnostics are evaluated once, for
+the state a solve returns or raises. The A-update of the threshold system
+depends on chi_hat alone, so that system is one scalar equation in
+chi_hat, solved by Brent's root finder (scipy's brentq) on a known
+bracket. The boundary is then pinned in rho_x or alpha by brentq again,
+and Brent's bounded minimizer (scipy's minimize_scalar) tunes the penalty
+weight lam.
 """
 
 from __future__ import annotations
@@ -109,9 +111,13 @@ class SystemParams:
 class SolverConfig:
     """Iteration and search knobs shared by the solvers.
 
-    bisection_tol is the search tolerance: boundary roots are pinned to
-    within half of it, and the penalty search stops when its bracket on
-    log(lam) is about that wide.
+    damping is the relaxation weight of the mse fixed point only. rel_tol
+    is the largest relative change of an mse sweep that counts as
+    converged, and the relative tolerance on chi_hat of the threshold
+    root. max_iters bounds the accepted mse sweeps, or the evaluations of
+    the threshold map. bisection_tol is the search tolerance: boundary
+    roots are pinned to within half of it, and the penalty search stops
+    when its bracket on log(lam) is about that wide.
     """
 
     damping: float = 0.5
@@ -165,7 +171,8 @@ class ThresholdState:
     """Fixed point of the two-variable system valid at perfect reconstruction.
 
     condition_residual is positive inside the perfect phase and crosses
-    zero at the boundary.
+    zero at the boundary. iterations counts evaluations of the scalar map
+    chi_hat -> G(chi_hat) that the root search made.
     """
 
     A: float
@@ -382,35 +389,27 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
     return state
 
 
-def _threshold_sweep(
-    alpha: float,
-    lam: float,
-    rho_x: float,
-    rho_w: float,
-    values: tuple[float, float],
-    damping: float,
+def _threshold_update(
+    alpha: float, lam: float, rho_x: float, rho_w: float, chi_hat: float
 ) -> tuple[float, float]:
-    """One damped sweep of the two-variable system over (A, chi_hat).
+    """Undamped update (A, G) of the two-variable system from chi_hat > 0.
 
-    A non-positive A raises from 1/sqrt(A), so every accepted A is positive.
+    A is the A-update at chi_hat and G = alpha [rho_w + (1 - rho_w)(s(t) +
+    2 Q(t))] with t = 1 / sqrt(A) the chi_hat update it feeds, so G lies in
+    [alpha rho_w, alpha]. Raises ZeroDivisionError or ValueError where the
+    update is not finite.
     """
-    a_value, chi_hat = values
-    keep = damping
-    mix = 1.0 - damping
     numer = 0.0
     if rho_x > 0.0:
         numer += rho_x * (lam * lam + chi_hat)
     if rho_x < 1.0:
         numer -= 2.0 * (1.0 - rho_x) * r_lambda(lam, chi_hat)
     denom = 2.0 * (1.0 - rho_x) * q_function(lam / math.sqrt(chi_hat)) + rho_x
-    a_new = mix * (numer / (denom * denom)) + keep * a_value
-
-    cut = 1.0 / math.sqrt(a_new)
-    h_acc = alpha * rho_w
+    a_value = numer / (denom * denom)
+    g = alpha * rho_w
     if rho_w < 1.0:
-        h_acc += alpha * (1.0 - rho_w) * _interior_moment_pair(cut)
-    chi_hat_new = mix * h_acc + keep * chi_hat
-    return a_new, chi_hat_new
+        g += alpha * (1.0 - rho_w) * _interior_moment_pair(1.0 / math.sqrt(a_value))
+    return a_value, g
 
 
 def solve_threshold_fixed_point(
@@ -422,33 +421,64 @@ def solve_threshold_fixed_point(
 ) -> ThresholdState:
     """Solve the two-variable fixed point and evaluate the boundary condition.
 
+    The A-update depends on chi_hat alone, so the system is the scalar
+    equation G(chi_hat) = chi_hat, solved by Brent's method on the bracket
+    [alpha rho_w, alpha] that G maps into, to relative tolerance
+    cfg.rel_tol. At rho_w = 0 the lower end takes the chi_hat -> 0+ limit,
+    where r_lambda and Q vanish: A -> lam^2 / rho_x, or +inf (s + 2 Q -> 1)
+    when rho_x = 0. cfg.max_iters bounds the evaluations of the map.
+
     The system involves no variance parameters, so the returned state (and
     hence every phase boundary) is independent of sigma2_x and sigma2_w.
     condition_residual > 0 means (alpha, lam, rho_x, rho_w) sits inside the
-    perfect reconstruction phase. Retries and the budget work as in
-    solve_mse_fixed_point; a failure raises FixedPointError carrying the
-    last finite state with a NaN condition_residual.
+    perfect reconstruction phase. A non-finite map value or an exhausted
+    budget raises FixedPointError carrying the last evaluated point (NaN
+    before the first) with a NaN condition_residual.
     """
     _check_positive("alpha", alpha)
     _check_positive("lam", lam)
     _check_unit_interval("rho_x", rho_x)
     _check_unit_interval("rho_w", rho_w)
 
-    (a_value, chi_hat), _, iterations, outcome = _damped_iteration(
-        partial(_threshold_sweep, alpha, lam, rho_x, rho_w), (1.0, alpha), cfg
-    )
-    if outcome != "converged":
-        if outcome == "non-finite":
-            message = "threshold iteration produced non-finite values despite damping increases"
-        else:
+    a_of: dict[float, float] = {}  # A at each evaluated chi_hat, in order
+
+    def gap(chi_hat: float) -> float:
+        if len(a_of) == cfg.max_iters:
             message = f"threshold fixed point not converged after {cfg.max_iters} sweeps"
-        raise FixedPointError(message, ThresholdState(a_value, chi_hat, math.nan, False, iterations))
+        else:
+            try:
+                a_value, g = _threshold_update(alpha, lam, rho_x, rho_w, chi_hat)
+            except _SWEEP_ERRORS:
+                message = f"threshold map is non-finite at chi_hat={chi_hat:.6g}"
+            else:
+                a_of[chi_hat] = a_value
+                return g - chi_hat
+        last_chi_hat, last_a = next(reversed(a_of.items()), (math.nan, math.nan))
+        raise FixedPointError(message, ThresholdState(last_a, last_chi_hat, math.nan, False, len(a_of)))
+
+    # G(alpha) <= alpha, so a gap of zero or more at the top is rounding:
+    # the root is alpha itself
+    f_hi = gap(alpha)
+    if f_hi >= 0.0:
+        chi_hat = alpha
+    else:
+        lo = alpha * rho_w
+        if lo > 0.0:
+            f_lo = gap(lo)
+        else:
+            f_lo = alpha * _interior_moment_pair(math.sqrt(rho_x) / lam) if rho_x > 0.0 else alpha
+        # the root is positive, so the relative tolerance governs; the
+        # evaluation budget stops the search before brentq's own cap does
+        ends = {lo: f_lo, alpha: f_hi}
+        chi_hat = brentq(lambda c: ends[c] if c in ends else gap(c), lo, alpha,
+                         xtol=1e-300, rtol=cfg.rel_tol, maxiter=cfg.max_iters)
+    a_value = a_of[chi_hat]  # brentq returns a point it evaluated
 
     # erf form of 1 - 2 Q avoids cancellation for small arguments
     clean_mass = math.erf(1.0 / math.sqrt(2.0 * a_value))
     support_mass = 2.0 * (1.0 - rho_x) * q_function(lam / math.sqrt(chi_hat)) + rho_x
     condition_residual = alpha * (1.0 - rho_w) * clean_mass - support_mass
-    return ThresholdState(a_value, chi_hat, condition_residual, True, iterations)
+    return ThresholdState(a_value, chi_hat, condition_residual, True, len(a_of))
 
 
 def _boundary_root(

@@ -17,13 +17,22 @@ trial with it. evaluate_objective is the objective at a given point.
 
 chambolle_pock is the textbook primal-dual loop the decoder's sweep
 implements, written the plain way, for bitwise comparison.
+
+damped_threshold_fixed_point solves the two-variable threshold system by
+damped forward iteration over (A, chi_hat), a reference for the scalar
+root that solve_threshold_fixed_point finds.
 """
+
+import math
+from functools import partial
 
 import numpy as np
 from scipy.optimize import linprog
 
 from sparse_lab.decoder import _STEP_SCALE, ProblemInstance, estimate_operator_norm
 from sparse_lab.experiments import EnsembleSpec, sample_instance
+from sparse_lab.replica import DEFAULT_SOLVER, _damped_iteration, _interior_moment_pair
+from sparse_lab.special import q_function, r_lambda
 
 REFINEMENTS = 7
 BEAM_WIDTH = 64
@@ -155,3 +164,34 @@ def chambolle_pock(
         xi = np.clip(xi + sigma * (a @ (2.0 * x_new - x) - y), -1.0, 1.0)
         x = x_new
     return x
+
+
+def _threshold_sweep(alpha, lam, rho_x, rho_w, values, damping):
+    """One damped sweep of the two-variable system over (A, chi_hat)."""
+    a_value, chi_hat = values
+    mix = 1.0 - damping
+    numer = 0.0
+    if rho_x > 0.0:
+        numer += rho_x * (lam * lam + chi_hat)
+    if rho_x < 1.0:
+        numer -= 2.0 * (1.0 - rho_x) * r_lambda(lam, chi_hat)
+    denom = 2.0 * (1.0 - rho_x) * q_function(lam / math.sqrt(chi_hat)) + rho_x
+    a_new = mix * (numer / (denom * denom)) + damping * a_value
+    h_acc = alpha * rho_w
+    if rho_w < 1.0:
+        h_acc += alpha * (1.0 - rho_w) * _interior_moment_pair(1.0 / math.sqrt(a_new))
+    return a_new, mix * h_acc + damping * chi_hat
+
+
+def damped_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg=DEFAULT_SOLVER):
+    """(A, chi_hat, sweeps) of the damped iteration from (1, alpha).
+
+    Damping, tolerance and budget are cfg's. Raises RuntimeError unless
+    the largest relative change of a sweep falls to cfg.rel_tol.
+    """
+    values, _, sweeps, outcome = _damped_iteration(
+        partial(_threshold_sweep, alpha, lam, rho_x, rho_w), (1.0, alpha), cfg
+    )
+    if outcome != "converged":
+        raise RuntimeError(f"damped threshold iteration ended {outcome} after {sweeps} sweeps")
+    return (*values, sweeps)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from _oracle import damped_threshold_fixed_point
 from sparse_lab import replica
 from sparse_lab.replica import (
     BracketError,
@@ -21,7 +22,21 @@ from sparse_lab.replica import (
     _boundary_root,
     _mse_start,
     _mse_sweep,
+    _threshold_update,
 )
+
+
+def _threshold_oracle_points():
+    """A seeded grid of 200 (alpha, lam, rho_x, rho_w) points plus edge rows."""
+    rng = np.random.default_rng(2013)
+    points = [
+        (float(10.0 ** rng.uniform(-3.0, 0.0)), float(10.0 ** rng.uniform(-3.0, 3.0)),
+         float(1.0 - rng.uniform()), float(rng.uniform()))
+        for _ in range(200)
+    ]
+    points += [(0.5, 1.0, 0.3, 0.0), (0.5, 1.0, 0.3, 1.0), (0.5, 1.0, 1.0, 0.1),
+               (1e-3, 1e-3, 1.0, 0.0), (0.9, 1e-3, 0.5, 0.0)]
+    return points
 
 
 class TestParamsValidation:
@@ -209,6 +224,48 @@ class TestThresholdFixedPoint:
             solve_threshold_fixed_point(0.5, 1.0, 0.0772, 0.1, SolverConfig(max_iters=3))
         assert "not converged after 3 sweeps" in str(info.value)
         assert info.value.state.iterations == 3
+
+    def test_matches_damped_iteration(self):
+        """The Brent root is the fixed point the damped two-variable
+        iteration converges to, and it is the only sign change of
+        G(c) - c on the bracket [alpha rho_w, alpha]."""
+        for alpha, lam, rho_x, rho_w in _threshold_oracle_points():
+            point = f"alpha={alpha!r} lam={lam!r} rho_x={rho_x!r} rho_w={rho_w!r}"
+            state = solve_threshold_fixed_point(alpha, lam, rho_x, rho_w)
+            a_ref, chi_hat_ref, _ = damped_threshold_fixed_point(alpha, lam, rho_x, rho_w)
+            assert state.converged, point
+            np.testing.assert_allclose(state.A, a_ref, rtol=1e-9, err_msg=point)
+            np.testing.assert_allclose(state.chi_hat, chi_hat_ref, rtol=1e-9, err_msg=point)
+
+            grid = np.linspace(alpha * rho_w, alpha, 200)
+            if rho_w == 0.0:
+                grid[0] = 1e-300  # the chi_hat -> 0+ limit
+            gaps = np.array([_threshold_update(alpha, lam, rho_x, rho_w, c)[1] - c for c in grid])
+            if rho_w == 1.0:
+                # the bracket is the single point alpha, a root of the gap
+                assert np.all(gaps == 0.0), point
+                continue
+            signs = np.sign(gaps[gaps != 0.0])
+            assert signs[0] > 0.0 > signs[-1], point
+            assert np.count_nonzero(signs[1:] != signs[:-1]) == 1, point
+
+    def test_top_of_bracket_root(self):
+        """Without signal, G(alpha) can round an ulp above alpha; the root is
+        then alpha itself, where the damped iteration also lands."""
+        point = (0.030928873773077247, 3.6449871909683584, 0.0, 0.6371801975109873)
+        assert _threshold_update(*point, point[0])[1] > point[0]
+        state = solve_threshold_fixed_point(*point)
+        a_ref, chi_hat_ref, _ = damped_threshold_fixed_point(*point)
+        assert state.chi_hat == point[0] and state.iterations == 1
+        np.testing.assert_allclose([state.A, state.chi_hat], [a_ref, chi_hat_ref], rtol=1e-9)
+
+    def test_slow_iteration_point(self):
+        """The damped iteration needs 949 sweeps here; the root, a dozen
+        evaluations of the map."""
+        state = solve_threshold_fixed_point(0.9, 1e-3, 0.5, 0.0)
+        _, _, sweeps = damped_threshold_fixed_point(0.9, 1e-3, 0.5, 0.0)
+        assert sweeps == 949
+        assert state.iterations <= 20
 
     def test_boundary_roots_within_half_tolerance(self):
         """At the default tolerance both boundary searches land within
