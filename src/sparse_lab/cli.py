@@ -312,8 +312,8 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
             record["status"] = "failed"
         else:
             record["status"] = "perfect" if state.perfect else "converged"
-            record["mse"] = 0.0 if state.perfect else state.mse
             record.update(
+                mse=state.mse,
                 chi=state.chi,
                 m_hat=state.m_hat,
                 chi_hat=state.chi_hat,

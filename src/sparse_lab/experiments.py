@@ -300,8 +300,6 @@ def run_monte_carlo(
     not_converged = sum(1 for s in summaries if not s.converged)
 
     replica_state = solve_mse_fixed_point(spec.params)
-    replica_perfect = replica_state.perfect
-    replica_mse = 0.0 if replica_perfect else replica_state.mse
 
     return Aggregate(
         mean_mse=mean_mse,
@@ -309,8 +307,8 @@ def run_monte_carlo(
         success_fraction=success_fraction,
         trials=spec.trials,
         not_converged=not_converged,
-        replica_mse=replica_mse,
-        replica_perfect=replica_perfect,
+        replica_mse=replica_state.mse,
+        replica_perfect=replica_state.perfect,
     )
 
 

@@ -15,12 +15,15 @@ M/N -> alpha. Two coupled descriptions are implemented:
   reconstruction phase, whose stability condition locates the phase
   boundary.
 
-The error fixed point is solved by damped forward iteration, whose budget
-counts accepted sweeps; its overlap diagnostics are evaluated once, for
-the state a solve returns or raises. The A-update of the threshold system
-depends on chi_hat alone, so that system is one scalar equation in
-chi_hat, solved by Brent's root finder (scipy's brentq) on a known
-bracket. The boundary is then pinned in rho_x or alpha by brentq again,
+The A-update of the threshold system depends on chi_hat alone, so that
+system is one scalar equation in chi_hat, solved by Brent's root finder
+(scipy's brentq) on a known bracket. The error fixed point first solves
+it: inside the perfect phase (positive condition residual) it returns the
+scaling limit of that phase, where m_hat runs away while mse / chi^2 and
+chi_hat tend to the threshold root's A and chi_hat. Elsewhere it is solved
+by damped forward iteration, whose budget counts accepted sweeps; its
+overlap diagnostics are evaluated once, for the state a solve returns or
+raises. The boundary is then pinned in rho_x or alpha by brentq again,
 and Brent's bounded minimizer (scipy's minimize_scalar) tunes the penalty
 weight lam.
 """
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Literal
 
+from scipy import special
 from scipy.optimize import brentq, minimize_scalar
 
 from .special import q_function, r_lambda, s_func
@@ -54,11 +58,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-# Divergence verdict on (mse, chi, m_hat, chi_hat): m_hat grows without
-# bound and the error collapses.
-_PERFECT_M_HAT = 1e12
-_PERFECT_MSE = 1e-24
+_INV_SQRT2 = 1.0 / _SQRT2
+_SQRT_PI_2 = math.sqrt(math.pi / 2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Retries with a halved step, per solve, before giving up on sweeps that
 # produce non-finite values.
@@ -148,10 +150,16 @@ class FixedPointState:
     diag_m is the signal-estimate overlap and diag_q the estimate
     self-overlap, both evaluated at this state; at any fixed point they
     satisfy mse = signal_power - 2 diag_m + diag_q. residual is the largest
-    relative change of the four variables in the producing sweep, and
-    iterations counts accepted sweeps. perfect marks the divergence
-    verdict: m_hat runs away while mse collapses, the signature of exact
-    reconstruction.
+    relative change of the four variables in the producing sweep,
+    iterations counts accepted sweeps and damping_retries the sweeps that
+    were discarded and retried with a halved step.
+
+    perfect marks the perfect reconstruction phase, decided by the
+    threshold root (positive condition residual). The state is then the
+    limit of the runaway iteration there: mse = chi = 0, m_hat = inf,
+    chi_hat the threshold root's and diag_m = diag_q = signal_power, with
+    residual 0, converged False, damping_retries 0 and iterations the
+    number of threshold map evaluations.
     """
 
     mse: float
@@ -163,6 +171,7 @@ class FixedPointState:
     residual: float
     converged: bool
     iterations: int
+    damping_retries: int = 0
     perfect: bool = False
 
 
@@ -203,9 +212,11 @@ class ObjectiveProbeError(RuntimeError):
 
 
 def _interior_moment_pair(t: float) -> float:
-    """s(t) + 2 Q(t), the chi_hat kernel; t = +inf is an exact zero."""
+    """s(t) + 2 Q(t), the chi_hat kernel; t = +inf is an exact zero and t = 0 an exact one."""
     if t == math.inf:
         return 0.0
+    if t == 0.0:
+        return 1.0
     return s_func(t) + 2.0 * q_function(t)
 
 
@@ -308,25 +319,22 @@ def _damped_iteration(
     sweep: Callable[[tuple[float, ...], float], tuple[float, ...]],
     values: tuple[float, ...],
     cfg: SolverConfig,
-    stop: Callable[[tuple[float, ...]], bool] | None = None,
-) -> tuple[tuple[float, ...], float, int, str]:
+) -> tuple[tuple[float, ...], float, int, int, str]:
     """Iterate values = sweep(values, damping) from cfg.damping.
 
-    Returns (values, residual, iterations, outcome). residual is the
-    largest relative change in the sweep that produced values (inf before
-    the first), and iterations counts accepted sweeps: a sweep that raises
-    or yields a non-finite value is discarded and retried with its step
-    halved, at most _MAX_DAMPING_RETRIES times per solve. outcome is
-    "converged" once residual <= cfg.rel_tol, "stopped" when stop(values)
-    holds before a sweep, "non-finite" when the retries run out and
-    "budget" after cfg.max_iters accepted sweeps.
+    Returns (values, residual, iterations, retries, outcome). residual is
+    the largest relative change in the sweep that produced values (inf
+    before the first), and iterations counts accepted sweeps: a sweep that
+    raises or yields a non-finite value is discarded and retried with its
+    step halved, at most _MAX_DAMPING_RETRIES times per solve, and retries
+    counts those. outcome is "converged" once residual <= cfg.rel_tol,
+    "non-finite" when the retries run out and "budget" after cfg.max_iters
+    accepted sweeps.
     """
     damping = cfg.damping
     retries = iterations = 0
     residual = math.inf
     while iterations < cfg.max_iters:
-        if stop is not None and stop(values):
-            return values, residual, iterations, "stopped"
         try:
             new = sweep(values, damping)
         except _SWEEP_ERRORS:
@@ -343,34 +351,41 @@ def _damped_iteration(
                     largest = change
         if new is None or math.isnan(total):
             if retries >= _MAX_DAMPING_RETRIES:
-                return values, residual, iterations, "non-finite"
+                return values, residual, iterations, retries, "non-finite"
             retries += 1
             damping = 1.0 - 0.5 * (1.0 - damping)
             continue
         iterations += 1
         values, residual = new, largest
         if residual <= cfg.rel_tol:
-            return values, residual, iterations, "converged"
-    return values, residual, iterations, "budget"
+            return values, residual, iterations, retries, "converged"
+    return values, residual, iterations, retries, "budget"
 
 
 def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLVER) -> FixedPointState:
-    """Iterate the mse fixed point to convergence or a divergence verdict.
+    """Solve the mse fixed point, or return the perfect state inside the phase.
 
-    Returns a state with converged=True when the largest relative change
-    falls below cfg.rel_tol, or with perfect=True when m_hat exceeds 1e12
-    while mse has collapsed below 1e-24, the runaway that signals exact
-    reconstruction. A sweep producing a non-finite value is retried with
-    its step halved, up to four times per solve; exhausting those, or
+    The threshold system is solved first, with the same cfg. A positive
+    condition residual returns the perfect state (see FixedPointState),
+    whose iterations count the threshold map evaluations. Otherwise the
+    damped iteration runs from the all-zero estimate and returns a state
+    with converged=True once the largest relative change falls below
+    cfg.rel_tol. A sweep producing a non-finite value is retried with its
+    step halved, up to four times per solve; exhausting those, or
     cfg.max_iters accepted sweeps, raises FixedPointError carrying the last
-    finite state. The overlap diagnostics are evaluated once, for the
-    state returned or raised.
+    finite state. The overlap diagnostics are evaluated once, for the state
+    returned or raised. A failed threshold solve raises its own
+    FixedPointError, which carries a ThresholdState.
     """
-    values, residual, iterations, outcome = _damped_iteration(
-        partial(_mse_sweep, params),
-        _mse_start(params),
-        cfg,
-        stop=lambda v: v[2] > _PERFECT_M_HAT and v[0] < _PERFECT_MSE,
+    threshold = solve_threshold_fixed_point(params.alpha, params.lam, params.rho_x, params.rho_w, cfg)
+    if threshold.condition_residual > 0.0:
+        power = params.signal_power
+        return FixedPointState(
+            0.0, 0.0, math.inf, threshold.chi_hat, power, power,
+            residual=0.0, converged=False, iterations=threshold.iterations, perfect=True,
+        )
+    values, residual, iterations, retries, outcome = _damped_iteration(
+        partial(_mse_sweep, params), _mse_start(params), cfg
     )
     state = FixedPointState(
         *values,
@@ -378,7 +393,7 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
         residual=residual,
         converged=outcome == "converged",
         iterations=iterations,
-        perfect=outcome == "stopped",
+        damping_retries=retries,
     )
     if outcome == "non-finite":
         raise FixedPointError("iteration produced non-finite values despite damping increases", state)
@@ -389,6 +404,18 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
     return state
 
 
+def _mills_terms(u: float) -> tuple[float, float]:
+    """(m, (u^2 + 1) m - u) at u > 0, with m = Q(u) / phi(u) the Mills ratio.
+
+    Both come from the scaled complementary error function, as in r_lambda,
+    so neither underflows: Q(u) = phi(u) m and r_lambda(lam, h) =
+    -h phi(u) ((u^2 + 1) m - u) at u = lam / sqrt(h). The second term loses
+    about u^4 / 2 ulp to cancellation.
+    """
+    m = _SQRT_PI_2 * float(special.erfcx(u * _INV_SQRT2))
+    return m, (u * u + 1.0) * m - u
+
+
 def _threshold_update(
     alpha: float, lam: float, rho_x: float, rho_w: float, chi_hat: float
 ) -> tuple[float, float]:
@@ -396,19 +423,31 @@ def _threshold_update(
 
     A is the A-update at chi_hat and G = alpha [rho_w + (1 - rho_w)(s(t) +
     2 Q(t))] with t = 1 / sqrt(A) the chi_hat update it feeds, so G lies in
-    [alpha rho_w, alpha]. Raises ZeroDivisionError or ValueError where the
-    update is not finite.
+    [alpha rho_w, alpha]. Without signal A = -r_lambda / (2 Q^2) overflows
+    once Q(lam / sqrt(chi_hat))^2 underflows, so t is formed there from the
+    Mills-ratio terms; it underflows to 0, where the kernel s + 2 Q is
+    exactly 1, and A is +inf wherever t^2 underflows. Raises
+    ZeroDivisionError or ValueError where the update is not finite.
     """
-    numer = 0.0
     if rho_x > 0.0:
-        numer += rho_x * (lam * lam + chi_hat)
-    if rho_x < 1.0:
-        numer -= 2.0 * (1.0 - rho_x) * r_lambda(lam, chi_hat)
-    denom = 2.0 * (1.0 - rho_x) * q_function(lam / math.sqrt(chi_hat)) + rho_x
-    a_value = numer / (denom * denom)
+        numer = rho_x * (lam * lam + chi_hat)
+        if rho_x < 1.0:
+            numer -= 2.0 * (1.0 - rho_x) * r_lambda(lam, chi_hat)
+        denom = 2.0 * (1.0 - rho_x) * q_function(lam / math.sqrt(chi_hat)) + rho_x
+        a_value = numer / (denom * denom)
+        t = 1.0 / math.sqrt(a_value)
+    else:
+        # t = m sqrt(2 phi(u) / (chi_hat bracket)), with sqrt(phi(u)) = exp(-u^2/4) / (2 pi)^(1/4)
+        u = lam / math.sqrt(chi_hat)
+        root_phi = math.exp(-0.25 * u * u)
+        t = 0.0
+        if root_phi > 0.0:
+            m, bracket = _mills_terms(u)
+            t = m * root_phi * math.sqrt(2.0 / (_SQRT_2PI * chi_hat * bracket))
+        a_value = math.inf if t * t == 0.0 else 1.0 / (t * t)
     g = alpha * rho_w
     if rho_w < 1.0:
-        g += alpha * (1.0 - rho_w) * _interior_moment_pair(1.0 / math.sqrt(a_value))
+        g += alpha * (1.0 - rho_w) * _interior_moment_pair(t)
     return a_value, g
 
 
@@ -431,7 +470,9 @@ def solve_threshold_fixed_point(
     The system involves no variance parameters, so the returned state (and
     hence every phase boundary) is independent of sigma2_x and sigma2_w.
     condition_residual > 0 means (alpha, lam, rho_x, rho_w) sits inside the
-    perfect reconstruction phase. A non-finite map value or an exhausted
+    perfect reconstruction phase. Without signal both of its terms can
+    underflow; the residual is then the smallest subnormal, with the sign
+    of their log ratio. A non-finite map value or an exhausted
     budget raises FixedPointError carrying the last evaluated point (NaN
     before the first) with a NaN condition_residual.
     """
@@ -449,6 +490,8 @@ def solve_threshold_fixed_point(
             try:
                 a_value, g = _threshold_update(alpha, lam, rho_x, rho_w, chi_hat)
             except _SWEEP_ERRORS:
+                g = math.nan
+            if math.isnan(g):
                 message = f"threshold map is non-finite at chi_hat={chi_hat:.6g}"
             else:
                 a_of[chi_hat] = a_value
@@ -475,9 +518,19 @@ def solve_threshold_fixed_point(
     a_value = a_of[chi_hat]  # brentq returns a point it evaluated
 
     # erf form of 1 - 2 Q avoids cancellation for small arguments
-    clean_mass = math.erf(1.0 / math.sqrt(2.0 * a_value))
-    support_mass = 2.0 * (1.0 - rho_x) * q_function(lam / math.sqrt(chi_hat)) + rho_x
-    condition_residual = alpha * (1.0 - rho_w) * clean_mass - support_mass
+    clean = alpha * (1.0 - rho_w) * math.erf(1.0 / math.sqrt(2.0 * a_value))
+    u = lam / math.sqrt(chi_hat)
+    condition_residual = clean - (2.0 * (1.0 - rho_x) * q_function(u) + rho_x)
+    if clean == 0.0 and rho_x == 0.0 and rho_w < 1.0:
+        # the clean term underflows, or t^2 did, and the support term 2 Q(u)
+        # is zero or subnormal: decide the sign in log form. With erf(t /
+        # sqrt 2) ~ t sqrt(2 / pi) the ratio of the two terms is
+        # alpha (1 - rho_w) / sqrt(pi chi_hat bracket phi(u)); the bracket is
+        # floored at its rounding noise, reached only far past any sign change
+        bracket = max(_mills_terms(u)[1], math.ulp(u))
+        log_ratio = (math.log(alpha * (1.0 - rho_w)) + 0.25 * u * u + 0.5 * math.log(_SQRT_2PI)
+                     - 0.5 * math.log(math.pi * chi_hat * bracket))
+        condition_residual = math.copysign(math.ulp(0.0), log_ratio)
     return ThresholdState(a_value, chi_hat, condition_residual, True, len(a_of))
 
 
@@ -612,9 +665,8 @@ def optimize_lambda(
 
         def score(lam: float) -> tuple[float, float]:
             params = SystemParams(alpha, lam, rho_x, rho_w, sigma2_x, sigma2_w)
-            state = solve_mse_fixed_point(params, cfg)
-            value = 0.0 if state.perfect else state.mse
-            return -value, value
+            mse = solve_mse_fixed_point(params, cfg).mse
+            return -mse, mse
 
     else:
         raise ValueError(f"unknown objective {objective!r}")

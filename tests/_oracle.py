@@ -20,7 +20,10 @@ implements, written the plain way, for bitwise comparison.
 
 damped_threshold_fixed_point solves the two-variable threshold system by
 damped forward iteration over (A, chi_hat), a reference for the scalar
-root that solve_threshold_fixed_point finds.
+root that solve_threshold_fixed_point finds. runaway_mse_verdict iterates
+the four-variable mse fixed point until it converges or m_hat runs away
+while mse collapses, a phase verdict that never consults the threshold
+system.
 """
 
 import math
@@ -31,7 +34,13 @@ from scipy.optimize import linprog
 
 from sparse_lab.decoder import _STEP_SCALE, ProblemInstance, estimate_operator_norm
 from sparse_lab.experiments import EnsembleSpec, sample_instance
-from sparse_lab.replica import DEFAULT_SOLVER, _damped_iteration, _interior_moment_pair
+from sparse_lab.replica import (
+    DEFAULT_SOLVER,
+    _damped_iteration,
+    _interior_moment_pair,
+    _mse_start,
+    _mse_sweep,
+)
 from sparse_lab.special import q_function, r_lambda
 
 REFINEMENTS = 7
@@ -189,9 +198,49 @@ def damped_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg=DEFAULT_SOLVER):
     Damping, tolerance and budget are cfg's. Raises RuntimeError unless
     the largest relative change of a sweep falls to cfg.rel_tol.
     """
-    values, _, sweeps, outcome = _damped_iteration(
+    values, _, sweeps, _, outcome = _damped_iteration(
         partial(_threshold_sweep, alpha, lam, rho_x, rho_w), (1.0, alpha), cfg
     )
     if outcome != "converged":
         raise RuntimeError(f"damped threshold iteration ended {outcome} after {sweeps} sweeps")
     return (*values, sweeps)
+
+
+# Divergence verdict on (mse, chi, m_hat, chi_hat): m_hat grows without
+# bound and the error collapses.
+_RUNAWAY_M_HAT = 1e12
+_RUNAWAY_MSE = 1e-24
+
+
+def runaway_mse_verdict(params, cfg=DEFAULT_SOLVER):
+    """(outcome, values, sweeps) of the damped mse iteration with a divergence stop.
+
+    The iteration starts from the all-zero estimate with cfg's damping,
+    tolerance and budget. outcome is "perfect" when m_hat > 1e12 while
+    mse < 1e-24 before a sweep, "converged" once the largest relative
+    change of a sweep falls to cfg.rel_tol, "non-finite" after a fifth
+    sweep that raises or yields a non-finite value (each halves the step
+    and is not counted), and "budget" after cfg.max_iters sweeps.
+    """
+    damping = cfg.damping
+    retries = sweeps = 0
+    values = _mse_start(params)
+    while sweeps < cfg.max_iters:
+        if values[2] > _RUNAWAY_M_HAT and values[0] < _RUNAWAY_MSE:
+            return "perfect", values, sweeps
+        try:
+            new = _mse_sweep(params, values, damping)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            new = None
+        if new is None or not all(map(math.isfinite, new)):
+            if retries == 4:
+                return "non-finite", values, sweeps
+            retries += 1
+            damping = 1.0 - 0.5 * (1.0 - damping)
+            continue
+        change = max(abs(x - old) / max(abs(x), abs(old), 1e-300) for x, old in zip(new, values))
+        values = new
+        sweeps += 1
+        if change <= cfg.rel_tol:
+            return "converged", values, sweeps
+    return "budget", values, sweeps

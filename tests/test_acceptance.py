@@ -15,7 +15,12 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from _oracle import grid_objective, random_tiny_instance, reference_squared_error
+from _oracle import (
+    grid_objective,
+    random_tiny_instance,
+    reference_squared_error,
+    runaway_mse_verdict,
+)
 from sparse_lab.decoder import DEFAULT_DECODER, DecoderConfig, ProblemInstance, decode
 from sparse_lab.experiments import (
     EnsembleSpec,
@@ -74,13 +79,14 @@ def test_criterion_03_variance_independence(capsys):
     pairs = ((1.0, 1.0), (4.0, 0.25), (0.01, 100.0))
     start = time.perf_counter()
     # the boundary solvers take no variance arguments, so the thresholds
-    # agree identically; the full solver confirms the verdicts anyway
+    # agree identically; the mse iteration confirms the verdicts anyway, its
+    # runaway below the boundary without consulting the threshold system
     thresholds = [find_critical_rho_x(0.5, 1.0, 0.1) for _ in pairs]
     spread = max(thresholds) - min(thresholds)
     rho_c = thresholds[0]
     verdicts_ok = True
     for sigma2_x, sigma2_w in pairs:
-        below = solve_mse_fixed_point(
+        below, _, _ = runaway_mse_verdict(
             SystemParams(
                 alpha=0.5, lam=1.0, rho_x=rho_c - 2e-3, rho_w=0.1,
                 sigma2_x=sigma2_x, sigma2_w=sigma2_w,
@@ -92,7 +98,7 @@ def test_criterion_03_variance_independence(capsys):
                 sigma2_x=sigma2_x, sigma2_w=sigma2_w,
             )
         )
-        verdicts_ok = verdicts_ok and below.perfect and above.converged and above.mse > 0.0
+        verdicts_ok = verdicts_ok and below == "perfect" and above.converged and above.mse > 0.0
     elapsed = time.perf_counter() - start
     ok = spread <= 1e-6 and verdicts_ok and elapsed < budget
     _announce(

@@ -4,6 +4,7 @@ the package's exported names and where each default lives."""
 import csv
 import inspect
 import json
+import math
 import os
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
@@ -217,6 +218,39 @@ class TestOutputFormats:
         code, out, _ = run_cli([*argv, "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["records"] == []
+
+
+class TestMseCurve:
+    ARGS = [
+        "mse-curve", "--alpha", "0.5", "--rho-w", "0.1",
+        "--grid-start", "0.06", "--grid-stop", "0.1", "--grid-count", "5",
+    ]
+
+    def test_grid_across_the_boundary(self, capsys):
+        """Rows below rho_c = 0.0772 are perfect, with mse 0, chi 0 and an
+        infinite m_hat; every number round-trips through CSV and JSON."""
+        code, out, _ = run_cli(self.ARGS, capsys)
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        code, out, _ = run_cli([*self.ARGS, "--format", "json"], capsys)
+        assert code == 0
+        records = json.loads(out)["records"]
+        assert header == cli._CURVE_COLUMNS
+        assert [r["status"] for r in records] == ["perfect"] * 2 + ["converged"] * 3
+        assert [row["status"] for row in rows] == [r["status"] for r in records]
+        for row, record in zip(rows, records):
+            for column in header:
+                if column == "status":
+                    continue
+                parsed, expected = float(row[column]), record[column]
+                assert parsed == expected or (math.isnan(parsed) and math.isnan(expected)), column
+        for record in records[:2]:
+            assert (record["mse"], record["chi"], record["m_hat"]) == (0.0, 0.0, math.inf)
+            threshold = replica.solve_threshold_fixed_point(0.5, 1.0, record["rho_x"], 0.1)
+            assert record["chi_hat"] == threshold.chi_hat
+            assert record["iterations"] == threshold.iterations
+        for record in records[2:]:
+            assert record["mse"] > 0.0 and math.isfinite(record["m_hat"])
 
 
 class TestConfigFile:

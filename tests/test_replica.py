@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from _oracle import damped_threshold_fixed_point
+from _oracle import damped_threshold_fixed_point, runaway_mse_verdict
 from sparse_lab import replica
 from sparse_lab.replica import (
     BracketError,
@@ -20,6 +20,7 @@ from sparse_lab.replica import (
     solve_mse_fixed_point,
     solve_threshold_fixed_point,
     _boundary_root,
+    _damped_iteration,
     _mse_start,
     _mse_sweep,
     _threshold_update,
@@ -36,6 +37,47 @@ def _threshold_oracle_points():
     ]
     points += [(0.5, 1.0, 0.3, 0.0), (0.5, 1.0, 0.3, 1.0), (0.5, 1.0, 1.0, 0.1),
                (1e-3, 1e-3, 1.0, 0.0), (0.9, 1e-3, 0.5, 0.0)]
+    return points
+
+
+def _verdict_oracle_points():
+    """A seeded list of 330 SystemParams for the phase-verdict cross-check.
+
+    60 points lie either side of the boundary in rho_x, at relative
+    distances from 10^-2.5 to 10^-0.5, then 150 general points, 40 without
+    noise, 40 without signal (lam / sqrt(alpha rho_w) from 0.5 to 60) and
+    40 with rho_x in [0.95, 1]; the variances are log-uniform in [0.1, 10].
+    """
+    rng = np.random.default_rng(14)
+
+    def uniform(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    def params(alpha, lam, rho_x, rho_w):
+        return SystemParams(alpha, lam, rho_x, rho_w, log_uniform(-1, 1), log_uniform(-1, 1))
+
+    points = []
+    while len(points) < 60:
+        alpha, lam, rho_w = uniform(0.2, 1.0), log_uniform(-0.5, 0.5), uniform(0.0, 0.3)
+        try:
+            rho_c = find_critical_rho_x(alpha, lam, rho_w)
+        except BracketError:
+            continue
+        side = 1.0 if rng.uniform() < 0.5 else -1.0
+        rho_x = min(rho_c * (1.0 + side * log_uniform(-2.5, -0.5)), 1.0)
+        points.append(params(alpha, lam, rho_x, rho_w))
+    for _ in range(150):
+        points.append(params(uniform(0.1, 1.0), log_uniform(-1, 1), uniform(0.0, 0.5), uniform(0.0, 0.5)))
+    for _ in range(40):
+        points.append(params(uniform(0.1, 1.0), log_uniform(-1, 1), uniform(0.0, 0.5), 0.0))
+    for _ in range(40):
+        alpha, rho_w = uniform(0.05, 1.0), uniform(0.005, 0.5)
+        points.append(params(alpha, uniform(0.5, 60.0) * math.sqrt(alpha * rho_w), 0.0, rho_w))
+    for _ in range(40):
+        points.append(params(uniform(0.1, 1.0), log_uniform(-1, 1), uniform(0.95, 1.0), uniform(0.0, 0.5)))
     return points
 
 
@@ -135,47 +177,155 @@ class TestMseFixedPoint:
             np.testing.assert_allclose(lhs, rhs, atol=1e-8 * max(1.0, abs(lhs)))
 
     def test_perfect_phase_verdict(self):
+        """Inside the phase the state is the limit of the runaway: no error,
+        no susceptibility, m_hat infinite, chi_hat the threshold root's and
+        the overlaps both equal to the signal power."""
         params = SystemParams(
             alpha=0.8, lam=0.7, rho_x=0.2, rho_w=0.05, sigma2_x=2.0, sigma2_w=0.5
         )
         state = solve_mse_fixed_point(params)
-        assert state.perfect
-        assert not state.converged
-        assert state.mse < 1e-24
-        assert state.m_hat > 1e12
+        threshold = solve_threshold_fixed_point(0.8, 0.7, 0.2, 0.05)
+        assert threshold.condition_residual > 0.0
+        assert state.perfect and not state.converged
+        assert (state.mse, state.chi, state.m_hat) == (0.0, 0.0, math.inf)
+        assert state.chi_hat == threshold.chi_hat
+        assert state.diag_m == state.diag_q == params.signal_power
+        assert state.residual == 0.0 and state.damping_retries == 0
+        assert state.iterations == threshold.iterations
+
+    def test_perfect_state_is_the_runaway_limit(self):
+        """Next to the boundary the runaway iterates for 31,917 sweeps before
+        m_hat passes 1e12; there its mse / chi^2 and chi_hat have come within
+        1e-5 of the threshold root's A and chi_hat."""
+        params = SystemParams(alpha=0.5, lam=1.0, rho_x=0.0768572953263249, rho_w=0.1)
+        outcome, (mse, chi, _, chi_hat), sweeps = runaway_mse_verdict(params)
+        assert (outcome, sweeps) == ("perfect", 31917)
+        threshold = solve_threshold_fixed_point(0.5, 1.0, params.rho_x, 0.1)
+        np.testing.assert_allclose(mse / chi**2, threshold.A, rtol=1e-5)
+        np.testing.assert_allclose(chi_hat, threshold.chi_hat, rtol=1e-5)
+        assert solve_mse_fixed_point(params).chi_hat == threshold.chi_hat
+
+    def test_verdict_matches_runaway_oracle(self):
+        """The threshold root's verdict is the runaway iteration's at every
+        seeded point where the runaway reaches one, and a converged state is
+        bitwise the runaway's. The runaway runs out of its 200,000 sweeps at
+        one point, 0.3% outside the boundary, where the damped iteration
+        still runs out too."""
+        exhausted = []
+        verdicts = {"perfect": 0, "converged": 0}
+        for index, params in enumerate(_verdict_oracle_points()):
+            outcome, values, sweeps = runaway_mse_verdict(params)
+            if outcome == "budget":
+                exhausted.append(index)
+                threshold = solve_threshold_fixed_point(
+                    params.alpha, params.lam, params.rho_x, params.rho_w
+                )
+                assert -1e-4 < threshold.condition_residual < 0.0, (index, params)
+                continue
+            state = solve_mse_fixed_point(params)
+            verdicts[outcome] += 1
+            if outcome == "perfect":
+                assert state.perfect, (index, params)
+            else:
+                assert outcome == "converged", (index, params)
+                assert state.converged, (index, params)
+                assert (state.mse, state.chi, state.m_hat, state.chi_hat) == values, (index, params)
+                assert state.iterations == sweeps, (index, params)
+        assert exhausted == [26]
+        assert verdicts == {"perfect": 81, "converged": 248}
+
+    def test_perfect_where_the_runaway_runs_out(self):
+        """0.03% inside the boundary the runaway is still short of its
+        verdict after 200,000 sweeps, which used to raise; the threshold root
+        calls the point perfect."""
+        rho_x = find_critical_rho_x(0.5, 1.0, 0.1) * (1.0 - 3e-4)
+        params = SystemParams(alpha=0.5, lam=1.0, rho_x=rho_x, rho_w=0.1)
+        assert runaway_mse_verdict(params)[0] == "budget"
+        assert solve_threshold_fixed_point(0.5, 1.0, rho_x, 0.1).condition_residual > 0.0
+        assert solve_mse_fixed_point(params).perfect
 
     def test_budget_exhaustion(self):
+        """A budget above the threshold root's evaluations and below the
+        damped iteration's sweeps is spent on the mse sweeps."""
         params = SystemParams(alpha=0.6, lam=1.0, rho_x=0.15, rho_w=0.1)
+        assert solve_threshold_fixed_point(0.6, 1.0, 0.15, 0.1).iterations < 20
         with pytest.raises(FixedPointError) as info:
-            solve_mse_fixed_point(params, SolverConfig(max_iters=5))
-        assert info.value.state is not None
-        assert info.value.state.iterations == 5
+            solve_mse_fixed_point(params, SolverConfig(max_iters=20))
+        assert "no convergence after 20 sweeps" in str(info.value)
+        assert info.value.state.iterations == 20
+        assert not info.value.state.perfect
 
     def test_budget_counts_accepted_sweeps_after_a_retry(self):
-        """The first undamped sweep divides by a chi that underflows to zero;
-        the retried sweep is not charged to the budget."""
-        params = SystemParams(alpha=0.001, lam=20.0, rho_x=0.0, rho_w=0.0)
+        """Outside the phase, an undamped sweep fails early on; the retried
+        sweep is not charged to the budget but is counted as a retry."""
+        params = SystemParams(alpha=0.64, lam=45.0, rho_x=0.82, rho_w=0.39)
         with pytest.raises(FixedPointError) as info:
-            solve_mse_fixed_point(params, SolverConfig(damping=0.0, max_iters=3))
-        assert "no convergence after 3 sweeps" in str(info.value)
-        assert info.value.state.iterations == 3
+            solve_mse_fixed_point(params, SolverConfig(damping=0.0, max_iters=10))
+        assert "no convergence after 10 sweeps" in str(info.value)
+        assert info.value.state.iterations == 10
+        assert info.value.state.damping_retries == 1
 
     def test_retry_recovers(self):
-        """With the full budget the halved step carries the solve through."""
-        params = SystemParams(alpha=0.001, lam=20.0, rho_x=0.0, rho_w=0.0)
+        """With the full budget the halved step carries the solve through to
+        the zero estimate, whose error is the signal power."""
+        params = SystemParams(alpha=0.64, lam=45.0, rho_x=0.82, rho_w=0.39)
         state = solve_mse_fixed_point(params, SolverConfig(damping=0.0))
-        assert state.perfect
-        assert state.iterations == 51
+        assert state.converged and not state.perfect
+        assert state.iterations == 142
+        assert state.damping_retries == 1
+        np.testing.assert_allclose(state.mse, params.signal_power, rtol=1e-12)
 
     def test_sweep_into_undefined_diagnostics_is_retried(self):
-        """An undamped noiseless sweep can drive chi_hat to exactly zero,
-        where the overlap diagnostics are undefined; that sweep is retried
-        with a halved step instead of being accepted."""
+        """An undamped noiseless sweep without signal drives chi_hat to
+        exactly zero, where the overlap diagnostics are undefined; that sweep
+        is retried with a halved step instead of being accepted."""
         params = SystemParams(alpha=1e-8, lam=0.0037835, rho_x=0.0, rho_w=0.0)
-        state = solve_mse_fixed_point(params, SolverConfig(damping=0.0))
-        assert state.perfect
-        assert state.iterations == 68
-        assert state.chi_hat > 0.0
+        start = _mse_start(params)
+        with pytest.raises(ValueError, match="overlap diagnostics undefined"):
+            _mse_sweep(params, start, 0.0)
+        values, _, iterations, retries, outcome = _damped_iteration(
+            lambda v, damping: _mse_sweep(params, v, damping),
+            start,
+            SolverConfig(damping=0.0, max_iters=1),
+        )
+        assert (outcome, iterations, retries) == ("budget", 1, 1)
+        assert values == _mse_sweep(params, start, 0.5)
+        assert values[3] > 0.0
+
+    def test_damped_iteration_retries_a_failing_sweep(self):
+        """A sweep that fails a fixed number of times is retried that many
+        times, each with half the remaining step, and never charged to the
+        budget; a fifth failure in one solve ends it."""
+        attempts = []
+
+        def sweep(values, damping, failures):
+            attempts.append(damping)
+            if len(attempts) <= failures:
+                raise ZeroDivisionError
+            (x,) = values
+            return ((1.0 - damping) * (0.5 * x + 1.0) + damping * x,)
+
+        cfg = SolverConfig(damping=0.0)
+        values, residual, iterations, retries, outcome = _damped_iteration(
+            lambda v, d: sweep(v, d, 2), (0.0,), cfg
+        )
+        assert attempts[:3] == [0.0, 0.5, 0.75]
+        assert (outcome, retries, iterations) == ("converged", 2, 193)
+        assert residual <= cfg.rel_tol
+        np.testing.assert_allclose(values[0], 2.0, rtol=1e-11)
+
+        attempts.clear()
+        values, _, iterations, retries, outcome = _damped_iteration(
+            lambda v, d: sweep(v, d, 2), (0.0,), SolverConfig(damping=0.0, max_iters=3)
+        )
+        assert (outcome, retries, iterations) == ("budget", 2, 3)
+
+        attempts.clear()
+        values, residual, iterations, retries, outcome = _damped_iteration(
+            lambda v, d: sweep(v, d, 5), (0.0,), cfg
+        )
+        assert (outcome, retries, iterations, values) == ("non-finite", 4, 0, (0.0,))
+        assert residual == math.inf
 
     def test_variance_invariant_phase(self):
         """The perfect/error verdict ignores the component variances."""
@@ -211,13 +361,51 @@ class TestThresholdFixedPoint:
         assert above.condition_residual > 0.0
         assert below.condition_residual < 0.0
 
-    def test_non_finite_sweeps(self):
-        """Every retry of the first sweep fails, so no sweep is accepted."""
+    def test_map_without_signal_stays_finite(self):
+        """Without signal Q(lam / sqrt(chi_hat))^2 underflows long before A
+        matters: the root is alpha, where t = 1 / sqrt(A) is 0 and A is
+        +inf, and the residual's sign is decided in log form."""
+        state = solve_threshold_fixed_point(0.001, 1.0, 0.0, 0.0)
+        assert state.converged and state.iterations == 1
+        assert state.chi_hat == 0.001
+        assert 0.0 < state.condition_residual < 1e-100
+        state = solve_threshold_fixed_point(0.001, 20.0, 0.0, 0.0)
+        assert state.chi_hat == 0.001 and state.A == math.inf
+        assert state.condition_residual == 5e-324
+        assert solve_mse_fixed_point(SystemParams(0.001, 20.0, 0.0, 0.0)).perfect
+
+    def test_map_without_signal_matches_damped_iteration(self):
+        """Where the plain A-update stays finite without signal, the root
+        built from Mills-ratio terms is the damped iteration's; at
+        (0.142, 1.99, 0, 0.0316) the plain update underflows at the lower
+        end, and the root still lies inside the phase."""
+        for point in ((0.0957, 1.193, 0.0, 0.0068), (0.5, 1.0, 0.0, 0.1), (0.3, 2.0, 0.0, 0.05)):
+            state = solve_threshold_fixed_point(*point)
+            a_ref, chi_hat_ref, _ = damped_threshold_fixed_point(*point)
+            np.testing.assert_allclose([state.A, state.chi_hat], [a_ref, chi_hat_ref], rtol=1e-9)
+        state = solve_threshold_fixed_point(0.142, 1.99, 0.0, 0.0316)
+        assert state.converged and math.isfinite(state.A)
+        assert state.condition_residual > 0.0
+        assert solve_mse_fixed_point(SystemParams(0.142, 1.99, 0.0, 0.0316)).perfect
+
+    def test_critical_alpha_without_signal(self):
+        """Without signal the residual is positive already at alpha = 1e-4,
+        so the rising search reports an empty bracket instead of a
+        non-finite map at its lower end."""
+        assert solve_threshold_fixed_point(1e-4, 1.0, 0.0, 0.1).condition_residual > 0.0
+        with pytest.raises(BracketError, match="no phase boundary"):
+            find_critical_alpha(1.0, 0.0, 0.1)
+
+    def test_non_finite_map(self, monkeypatch):
+        """A map value that is not finite ends the search at once, with the
+        NaN state of no evaluation."""
+        monkeypatch.setattr(replica, "r_lambda", lambda lam, h: math.nan)
         with pytest.raises(FixedPointError) as info:
-            solve_threshold_fixed_point(0.001, 1.0, 0.0, 0.0)
+            solve_threshold_fixed_point(0.5, 1.0, 0.1, 0.1)
         assert "non-finite" in str(info.value)
         assert info.value.state.iterations == 0
         assert math.isnan(info.value.state.condition_residual)
+        assert math.isnan(info.value.state.chi_hat)
 
     def test_budget_exhaustion(self):
         with pytest.raises(FixedPointError) as info:
@@ -314,8 +502,8 @@ class TestThresholdFixedPoint:
 
     def test_phase_consistency_with_full_solver(self):
         """Both fixed points must agree on which side of the boundary a
-        point sits: divergence verdict below the critical density, a
-        finite positive error above it."""
+        point sits: the runaway iteration's divergence verdict below the
+        critical density, a finite positive error above it."""
         rng = np.random.default_rng(42)
         checked = 0
         while checked < 10:
@@ -326,13 +514,13 @@ class TestThresholdFixedPoint:
                 rho_c = find_critical_rho_x(alpha, lam, rho_w)
             except BracketError:
                 continue
-            inside = solve_mse_fixed_point(
+            inside = runaway_mse_verdict(
                 SystemParams(alpha=alpha, lam=lam, rho_x=rho_c * 0.9, rho_w=rho_w)
             )
             outside = solve_mse_fixed_point(
                 SystemParams(alpha=alpha, lam=lam, rho_x=min(rho_c * 1.1, 0.999), rho_w=rho_w)
             )
-            assert inside.perfect, (alpha, lam, rho_w, rho_c)
+            assert inside[0] == "perfect", (alpha, lam, rho_w, rho_c)
             assert outside.converged and outside.mse > 0.0, (alpha, lam, rho_w, rho_c)
             checked += 1
 
