@@ -84,17 +84,9 @@ def _meta_of(args: argparse.Namespace, **resolved: object) -> dict:
     return meta
 
 
-def _json_default(value: object) -> object:
-    # numpy scalars carry .item(); anything else falls back to repr
-    item = getattr(value, "item", None)
-    if callable(item):
-        return item()
-    return repr(value)
-
-
 def _emit(args: argparse.Namespace, meta: dict, records: list[dict], columns: list[str]) -> None:
     if args.format == "json":
-        text = json.dumps({"meta": meta, "records": records}, indent=2, default=_json_default) + "\n"
+        text = json.dumps({"meta": meta, "records": records}, indent=2) + "\n"
     else:
         buf = io.StringIO()
         for key, value in meta.items():
@@ -228,8 +220,9 @@ def _grid(args: argparse.Namespace) -> list[float]:
     if args.grid_scale == "log":
         if not (start > 0.0 and stop > 0.0):
             raise _UsageError("log grids need positive endpoints")
+        # the ends are the endpoints themselves, not exp(log(endpoint))
         lo, hi = math.log(start), math.log(stop)
-        return [math.exp(lo + i * (hi - lo) / (count - 1)) for i in range(count)]
+        return [start, *(math.exp(lo + i * (hi - lo) / (count - 1)) for i in range(1, count - 1)), stop]
     return [start + i * (stop - start) / (count - 1) for i in range(count)]
 
 

@@ -21,18 +21,20 @@ system is one scalar equation in chi_hat, solved by Brent's root finder
 it: inside the perfect phase (positive condition residual) it returns the
 scaling limit of that phase, where m_hat runs away while mse / chi^2 and
 chi_hat tend to the threshold root's A and chi_hat. Elsewhere it is solved
-by damped forward iteration, whose budget counts accepted sweeps; its
-overlap diagnostics are evaluated once, for the state a solve returns or
-raises. The boundary is then pinned in rho_x or alpha by brentq again,
-and Brent's bounded minimizer (scipy's minimize_scalar) tunes the penalty
-weight lam.
+by damped forward iteration, whose budget counts sweeps; a sweep that
+raises or goes non-finite ends the solve. In the zero-estimate regime of
+a large penalty chi leaves the normal float range, and the sweep takes
+the m_hat update at its chi -> 0 limit. The overlap diagnostics are
+evaluated once, for the state a solve returns or raises. The boundary is
+then pinned in rho_x or alpha by brentq again, and Brent's bounded
+minimizer (scipy's minimize_scalar) tunes the penalty weight lam.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Literal
 
 from scipy import special
@@ -61,10 +63,8 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
 _SQRT_PI_2 = math.sqrt(math.pi / 2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Retries with a halved step, per solve, before giving up on sweeps that
-# produce non-finite values.
-_MAX_DAMPING_RETRIES = 4
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_FLOAT_MIN = sys.float_info.min
 
 _SWEEP_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 
@@ -116,7 +116,7 @@ class SolverConfig:
     damping is the relaxation weight of the mse fixed point only. rel_tol
     is the largest relative change of an mse sweep that counts as
     converged, and the relative tolerance on chi_hat of the threshold
-    root. max_iters bounds the accepted mse sweeps, or the evaluations of
+    root. max_iters bounds the mse sweeps, or the evaluations of
     the threshold map. bisection_tol is the search tolerance: boundary
     roots are pinned to within half of it, and the penalty search stops
     when its bracket on log(lam) is about that wide.
@@ -150,16 +150,15 @@ class FixedPointState:
     diag_m is the signal-estimate overlap and diag_q the estimate
     self-overlap, both evaluated at this state; at any fixed point they
     satisfy mse = signal_power - 2 diag_m + diag_q. residual is the largest
-    relative change of the four variables in the producing sweep,
-    iterations counts accepted sweeps and damping_retries the sweeps that
-    were discarded and retried with a halved step.
+    relative change of the four variables in the producing sweep and
+    iterations counts sweeps.
 
     perfect marks the perfect reconstruction phase, decided by the
     threshold root (positive condition residual). The state is then the
     limit of the runaway iteration there: mse = chi = 0, m_hat = inf,
     chi_hat the threshold root's and diag_m = diag_q = signal_power, with
-    residual 0, converged False, damping_retries 0 and iterations the
-    number of threshold map evaluations.
+    residual 0, converged False and iterations the number of threshold map
+    evaluations.
     """
 
     mse: float
@@ -171,7 +170,6 @@ class FixedPointState:
     residual: float
     converged: bool
     iterations: int
-    damping_retries: int = 0
     perfect: bool = False
 
 
@@ -192,7 +190,7 @@ class ThresholdState:
 
 
 class FixedPointError(RuntimeError):
-    """Iteration exhausted its budget or could not be stabilized."""
+    """Iteration exhausted its budget or produced a non-finite value."""
 
     def __init__(self, message: str, state: object = None) -> None:
         super().__init__(message)
@@ -274,10 +272,13 @@ def _mse_sweep(p: SystemParams, values: tuple[float, ...], damping: float) -> tu
 
     The sweep is sequential: chi uses the incoming m_hat and chi_hat, the
     conjugate pair uses the fresh mse and chi. Each variable is blended as
-    new = (1 - damping) * update + damping * old. Raises the underlying
-    ValueError or OverflowError if the incoming values have diverged beyond
-    floating point range, and ValueError if the overlap diagnostics are
-    undefined at the new values.
+    new = (1 - damping) * update + damping * old. Where chi has left the
+    normal float range and mse > 0 (the zero estimate of a large penalty),
+    the m_hat update m_acc / chi is taken at its chi -> 0 limit
+    alpha sqrt(2/pi) [(1 - rho_w) / sqrt(mse) + rho_w / sqrt(mse + sigma2_w)].
+    Raises the underlying ValueError or OverflowError if the incoming
+    values have diverged beyond floating point range, and ValueError if the
+    overlap diagnostics are undefined at the new values.
     """
     mse_old, chi_old, m_hat_old, chi_hat_old = values
     keep = damping
@@ -307,59 +308,20 @@ def _mse_sweep(p: SystemParams, values: tuple[float, ...], damping: float) -> tu
         weight = p.alpha * p.rho_w
         m_acc += weight * math.erf(t_noisy / _SQRT2)
         h_acc += weight * _interior_moment_pair(t_noisy)
-    m_hat = mix * (m_acc / chi) + keep * m_hat_old
+    if chi < _FLOAT_MIN and mse > 0.0:
+        # m_acc / chi would lose its digits and end in 0 / 0; each
+        # erf(t / sqrt 2) / chi tends to sqrt(2 / pi) / sqrt(variance)
+        m_ratio = _SQRT_2_OVER_PI * p.alpha * (
+            (1.0 - p.rho_w) / math.sqrt(mse) + p.rho_w / math.sqrt(mse + p.sigma2_w)
+        )
+    else:
+        m_ratio = m_acc / chi
+    m_hat = mix * m_ratio + keep * m_hat_old
     chi_hat = mix * h_acc + keep * chi_hat_old
     wide_new = chi_hat + p.sigma2_x * m_hat * m_hat
     if not (m_hat * m_hat > 0.0 and (chi_hat if p.rho_x < 1.0 else wide_new) > 0.0):
         raise ValueError("overlap diagnostics undefined at the new iterate")
     return mse, chi, m_hat, chi_hat
-
-
-def _damped_iteration(
-    sweep: Callable[[tuple[float, ...], float], tuple[float, ...]],
-    values: tuple[float, ...],
-    cfg: SolverConfig,
-) -> tuple[tuple[float, ...], float, int, int, str]:
-    """Iterate values = sweep(values, damping) from cfg.damping.
-
-    Returns (values, residual, iterations, retries, outcome). residual is
-    the largest relative change in the sweep that produced values (inf
-    before the first), and iterations counts accepted sweeps: a sweep that
-    raises or yields a non-finite value is discarded and retried with its
-    step halved, at most _MAX_DAMPING_RETRIES times per solve, and retries
-    counts those. outcome is "converged" once residual <= cfg.rel_tol,
-    "non-finite" when the retries run out and "budget" after cfg.max_iters
-    accepted sweeps.
-    """
-    damping = cfg.damping
-    retries = iterations = 0
-    residual = math.inf
-    while iterations < cfg.max_iters:
-        try:
-            new = sweep(values, damping)
-        except _SWEEP_ERRORS:
-            new = None
-        if new is not None:
-            # old is finite, so a change is NaN exactly when x is not; the sum keeps
-            # the NaN. The scale max(|x|, |old|, 1e-300) is spelled out for speed.
-            total = largest = 0.0
-            for x, old in zip(new, values):
-                a, b = abs(x), abs(old)
-                change = abs(x - old) / (a if a > b and a > 1e-300 else b if b > 1e-300 else 1e-300)
-                total += change
-                if change > largest:
-                    largest = change
-        if new is None or math.isnan(total):
-            if retries >= _MAX_DAMPING_RETRIES:
-                return values, residual, iterations, retries, "non-finite"
-            retries += 1
-            damping = 1.0 - 0.5 * (1.0 - damping)
-            continue
-        iterations += 1
-        values, residual = new, largest
-        if residual <= cfg.rel_tol:
-            return values, residual, iterations, retries, "converged"
-    return values, residual, iterations, retries, "budget"
 
 
 def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLVER) -> FixedPointState:
@@ -368,14 +330,13 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
     The threshold system is solved first, with the same cfg. A positive
     condition residual returns the perfect state (see FixedPointState),
     whose iterations count the threshold map evaluations. Otherwise the
-    damped iteration runs from the all-zero estimate and returns a state
-    with converged=True once the largest relative change falls below
-    cfg.rel_tol. A sweep producing a non-finite value is retried with its
-    step halved, up to four times per solve; exhausting those, or
-    cfg.max_iters accepted sweeps, raises FixedPointError carrying the last
-    finite state. The overlap diagnostics are evaluated once, for the state
-    returned or raised. A failed threshold solve raises its own
-    FixedPointError, which carries a ThresholdState.
+    damped iteration runs from the all-zero estimate at cfg.damping and
+    returns a state with converged=True once the largest relative change
+    falls below cfg.rel_tol. A sweep that raises or produces a non-finite value, or
+    cfg.max_iters sweeps without convergence, raises FixedPointError
+    carrying the last finite state. The overlap diagnostics are evaluated
+    once, for the state returned or raised. A failed threshold solve raises
+    its own FixedPointError, which carries a ThresholdState.
     """
     threshold = solve_threshold_fixed_point(params.alpha, params.lam, params.rho_x, params.rho_w, cfg)
     if threshold.condition_residual > 0.0:
@@ -384,23 +345,42 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
             0.0, 0.0, math.inf, threshold.chi_hat, power, power,
             residual=0.0, converged=False, iterations=threshold.iterations, perfect=True,
         )
-    values, residual, iterations, retries, outcome = _damped_iteration(
-        partial(_mse_sweep, params), _mse_start(params), cfg
-    )
+    values = _mse_start(params)
+    residual = math.inf  # the largest relative change of the last sweep
+    iterations = 0
+    failure = None
+    while residual > cfg.rel_tol:
+        if iterations == cfg.max_iters:
+            failure = f"no convergence after {cfg.max_iters} sweeps (last residual {residual:.3e})"
+            break
+        try:
+            new = _mse_sweep(params, values, cfg.damping)
+        except _SWEEP_ERRORS as exc:
+            failure = f"sweep {iterations + 1} failed: {exc}"
+            break
+        # old is finite, so a change is NaN exactly when x is not; the sum keeps
+        # the NaN. The scale max(|x|, |old|, 1e-300) is spelled out for speed.
+        total = largest = 0.0
+        for x, old in zip(new, values):
+            a, b = abs(x), abs(old)
+            change = abs(x - old) / (a if a > b and a > 1e-300 else b if b > 1e-300 else 1e-300)
+            total += change
+            if change > largest:
+                largest = change
+        if math.isnan(total):
+            failure = f"sweep {iterations + 1} produced a non-finite value"
+            break
+        iterations += 1
+        values, residual = new, largest
     state = FixedPointState(
         *values,
         *_diagnostics(params, *values[2:]),
         residual=residual,
-        converged=outcome == "converged",
+        converged=failure is None,
         iterations=iterations,
-        damping_retries=retries,
     )
-    if outcome == "non-finite":
-        raise FixedPointError("iteration produced non-finite values despite damping increases", state)
-    if outcome == "budget":
-        raise FixedPointError(
-            f"no convergence after {cfg.max_iters} sweeps (last residual {residual:.3e})", state
-        )
+    if failure is not None:
+        raise FixedPointError(failure, state)
     return state
 
 
@@ -426,16 +406,23 @@ def _threshold_update(
     [alpha rho_w, alpha]. Without signal A = -r_lambda / (2 Q^2) overflows
     once Q(lam / sqrt(chi_hat))^2 underflows, so t is formed there from the
     Mills-ratio terms; it underflows to 0, where the kernel s + 2 Q is
-    exactly 1, and A is +inf wherever t^2 underflows. Raises
-    ZeroDivisionError or ValueError where the update is not finite.
+    exactly 1, and A is +inf wherever t^2 underflows. With a tiny rho_x the
+    denominator (2 (1 - rho_x) Q + rho_x)^2 of A underflows too; t is then
+    formed as its root over sqrt(numer), and A is +inf where t^2 underflows.
+    Raises ZeroDivisionError or ValueError where the update is not finite.
     """
     if rho_x > 0.0:
         numer = rho_x * (lam * lam + chi_hat)
         if rho_x < 1.0:
             numer -= 2.0 * (1.0 - rho_x) * r_lambda(lam, chi_hat)
         denom = 2.0 * (1.0 - rho_x) * q_function(lam / math.sqrt(chi_hat)) + rho_x
-        a_value = numer / (denom * denom)
-        t = 1.0 / math.sqrt(a_value)
+        square = denom * denom
+        if square >= _FLOAT_MIN:
+            a_value = numer / square
+            t = 1.0 / math.sqrt(a_value)
+        else:
+            t = denom / math.sqrt(numer)
+            a_value = math.inf if t * t == 0.0 else 1.0 / (t * t)
     else:
         # t = m sqrt(2 phi(u) / (chi_hat bracket)), with sqrt(phi(u)) = exp(-u^2/4) / (2 pi)^(1/4)
         u = lam / math.sqrt(chi_hat)

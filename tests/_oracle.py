@@ -27,7 +27,6 @@ system.
 """
 
 import math
-from functools import partial
 
 import numpy as np
 from scipy.optimize import linprog
@@ -36,7 +35,6 @@ from sparse_lab.decoder import _STEP_SCALE, ProblemInstance, estimate_operator_n
 from sparse_lab.experiments import EnsembleSpec, sample_instance
 from sparse_lab.replica import (
     DEFAULT_SOLVER,
-    _damped_iteration,
     _interior_moment_pair,
     _mse_start,
     _mse_sweep,
@@ -198,12 +196,16 @@ def damped_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg=DEFAULT_SOLVER):
     Damping, tolerance and budget are cfg's. Raises RuntimeError unless
     the largest relative change of a sweep falls to cfg.rel_tol.
     """
-    values, _, sweeps, _, outcome = _damped_iteration(
-        partial(_threshold_sweep, alpha, lam, rho_x, rho_w), (1.0, alpha), cfg
-    )
-    if outcome != "converged":
-        raise RuntimeError(f"damped threshold iteration ended {outcome} after {sweeps} sweeps")
-    return (*values, sweeps)
+    values = (1.0, alpha)
+    for sweeps in range(1, cfg.max_iters + 1):
+        new = _threshold_sweep(alpha, lam, rho_x, rho_w, values, cfg.damping)
+        if not all(map(math.isfinite, new)):
+            raise RuntimeError(f"damped threshold iteration went non-finite at sweep {sweeps}")
+        change = max(abs(x - old) / max(abs(x), abs(old), 1e-300) for x, old in zip(new, values))
+        values = new
+        if change <= cfg.rel_tol:
+            return (*values, sweeps)
+    raise RuntimeError(f"damped threshold iteration not converged after {cfg.max_iters} sweeps")
 
 
 # Divergence verdict on (mse, chi, m_hat, chi_hat): m_hat grows without

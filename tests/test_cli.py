@@ -252,6 +252,81 @@ class TestMseCurve:
         for record in records[2:]:
             assert record["mse"] > 0.0 and math.isfinite(record["m_hat"])
 
+    def _rows(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        return parse_csv(out)[2]
+
+    def test_alpha_axis(self, capsys):
+        """Sweeping alpha at fixed rho_x: each row is the solve at its alpha."""
+        rows = self._rows(
+            ["mse-curve", "--axis", "alpha", "--rho-x", "0.1", "--rho-w", "0.1",
+             "--grid-start", "0.25", "--grid-stop", "0.75", "--grid-count", "3"],
+            capsys,
+        )
+        assert [float(row["alpha"]) for row in rows] == [0.25, 0.5, 0.75]
+        assert {row["rho_x"] for row in rows} == {"0.10000000000000001"}
+        for row in rows:
+            state = replica.solve_mse_fixed_point(replica.SystemParams(float(row["alpha"]), 1.0, 0.1, 0.1))
+            assert row["status"] == ("perfect" if state.perfect else "converged")
+            assert float(row["mse"]) == state.mse
+        assert [row["status"] for row in rows] == ["converged", "converged", "perfect"]
+
+    def test_log_grid_ends_at_its_endpoints(self, capsys):
+        """A log grid starts and stops exactly at its endpoints, through CSV,
+        and steps by a constant ratio in between."""
+        rows = self._rows(
+            ["mse-curve", "--alpha", "0.5", "--rho-w", "0.1", "--grid-scale", "log",
+             "--grid-start", "0.05", "--grid-stop", "0.5", "--grid-count", "4"],
+            capsys,
+        )
+        grid = [float(row["rho_x"]) for row in rows]
+        assert (grid[0], grid[-1]) == (0.05, 0.5)
+        for lo, hi in zip(grid, grid[1:]):
+            assert math.isclose(hi / lo, 10.0 ** (1.0 / 3.0), rel_tol=1e-12)
+
+    def test_zero_estimate_rows(self, capsys):
+        """At lam = 50 the estimate is zero and every row converges to
+        mse = rho_x, the signal power at unit variance."""
+        rows = self._rows(
+            ["mse-curve", "--alpha", "0.5", "--rho-w", "0.1", "--lambda", "50",
+             "--grid-start", "0.2", "--grid-stop", "0.6", "--grid-count", "3"],
+            capsys,
+        )
+        assert [row["status"] for row in rows] == ["converged"] * 3
+        for row in rows:
+            rho_x = float(row["rho_x"])
+            assert abs(float(row["mse"]) - rho_x) <= 4.0 * math.ulp(rho_x), row
+
+    def test_failed_row(self, capsys):
+        """A solve that runs out of budget prints a failed row with no
+        solver values instead of ending the command."""
+        rows = self._rows(
+            ["mse-curve", "--alpha", "0.5", "--rho-w", "0.1", "--max-iters", "3",
+             "--grid-start", "0.15", "--grid-stop", "0.15", "--grid-count", "1"],
+            capsys,
+        )
+        assert len(rows) == 1 and rows[0]["status"] == "failed"
+        assert rows[0]["rho_x"] == "0.14999999999999999"
+        assert all(math.isnan(float(rows[0][column])) for column in ("mse", "chi_hat", "iterations"))
+
+    def test_with_mc_rows_do_not_depend_on_workers(self, capsys):
+        """--with-mc fills the ensemble columns, and the rows are the same
+        on one worker and on two."""
+        argv = ["mse-curve", "--alpha", "0.5", "--rho-w", "0.1", "--grid-start", "0.06",
+                "--grid-stop", "0.1", "--grid-count", "2", "--with-mc", "--n", "16", "--trials", "3",
+                "--seed", "3", "--decoder-tol", "1e-7", "--format", "json"]
+        payloads = []
+        for workers in ("1", "2"):
+            code, out, _ = run_cli([*argv, "--workers", workers], capsys)
+            assert code == 0
+            payloads.append(json.loads(out))
+        assert payloads[0]["records"] == payloads[1]["records"]
+        assert [p["meta"]["workers"] for p in payloads] == [1, 2]
+        for record in payloads[0]["records"]:
+            assert record["mc_mean_mse"] >= 0.0 and record["mc_not_converged"] == 0
+            assert 0.0 <= record["mc_success_fraction"] <= 1.0
+
 
 class TestConfigFile:
     def test_config_supplies_flags(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Fixed-point solvers, phase boundaries, penalty optimization."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from sparse_lab.replica import (
     solve_mse_fixed_point,
     solve_threshold_fixed_point,
     _boundary_root,
-    _damped_iteration,
     _mse_start,
     _mse_sweep,
     _threshold_update,
@@ -78,6 +78,27 @@ def _verdict_oracle_points():
         points.append(params(alpha, uniform(0.5, 60.0) * math.sqrt(alpha * rho_w), 0.0, rho_w))
     for _ in range(40):
         points.append(params(uniform(0.1, 1.0), log_uniform(-1, 1), uniform(0.95, 1.0), uniform(0.0, 0.5)))
+    return points
+
+
+def _zero_estimate_points():
+    """A seeded list of 300 SystemParams in the zero-estimate regime.
+
+    lam / sqrt(alpha) is log-uniform in [38, 400] and alpha in [1e-3, 10];
+    75 general points, then 75 each at rho_w = 0, rho_w = 1 and rho_x = 1.
+    rho_x >= 0.01 keeps every point outside the perfect phase, and the
+    variances are log-uniform in [0.1, 10].
+    """
+    rng = np.random.default_rng(15)
+    points = []
+    for case in ("general", "rho_w = 0", "rho_w = 1", "rho_x = 1"):
+        for _ in range(75):
+            alpha = float(10.0 ** rng.uniform(-3.0, 1.0))
+            lam = float(10.0 ** rng.uniform(math.log10(38.0), math.log10(400.0))) * math.sqrt(alpha)
+            rho_x = 1.0 if case == "rho_x = 1" else float(rng.uniform(0.01, 1.0))
+            rho_w = {"rho_w = 0": 0.0, "rho_w = 1": 1.0}.get(case, float(rng.uniform()))
+            sigma2_x, sigma2_w = (float(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(2))
+            points.append(SystemParams(alpha, lam, rho_x, rho_w, sigma2_x, sigma2_w))
     return points
 
 
@@ -190,7 +211,7 @@ class TestMseFixedPoint:
         assert (state.mse, state.chi, state.m_hat) == (0.0, 0.0, math.inf)
         assert state.chi_hat == threshold.chi_hat
         assert state.diag_m == state.diag_q == params.signal_power
-        assert state.residual == 0.0 and state.damping_retries == 0
+        assert state.residual == 0.0
         assert state.iterations == threshold.iterations
 
     def test_perfect_state_is_the_runaway_limit(self):
@@ -255,77 +276,75 @@ class TestMseFixedPoint:
         assert info.value.state.iterations == 20
         assert not info.value.state.perfect
 
-    def test_budget_counts_accepted_sweeps_after_a_retry(self):
-        """Outside the phase, an undamped sweep fails early on; the retried
-        sweep is not charged to the budget but is counted as a retry."""
-        params = SystemParams(alpha=0.64, lam=45.0, rho_x=0.82, rho_w=0.39)
-        with pytest.raises(FixedPointError) as info:
-            solve_mse_fixed_point(params, SolverConfig(damping=0.0, max_iters=10))
-        assert "no convergence after 10 sweeps" in str(info.value)
-        assert info.value.state.iterations == 10
-        assert info.value.state.damping_retries == 1
+    @pytest.mark.parametrize("failure", ["raises", "non-finite"])
+    def test_failing_sweep_ends_the_solve(self, monkeypatch, failure):
+        """A sweep that raises or yields a non-finite value is not retried:
+        the solve raises with the state after the sweeps before it, which
+        the budget counts."""
+        params = SystemParams(alpha=0.6, lam=1.0, rho_x=0.15, rho_w=0.1)
+        sweep = replica._mse_sweep
+        values = _mse_start(params)
+        for _ in range(4):
+            values = sweep(params, values, 0.5)
+        calls = []
 
-    def test_retry_recovers(self):
-        """With the full budget the halved step carries the solve through to
-        the zero estimate, whose error is the signal power."""
-        params = SystemParams(alpha=0.64, lam=45.0, rho_x=0.82, rho_w=0.39)
-        state = solve_mse_fixed_point(params, SolverConfig(damping=0.0))
-        assert state.converged and not state.perfect
-        assert state.iterations == 142
-        assert state.damping_retries == 1
-        np.testing.assert_allclose(state.mse, params.signal_power, rtol=1e-12)
+        def failing(p, v, damping):
+            calls.append(damping)
+            if len(calls) == 5:
+                if failure == "raises":
+                    raise ZeroDivisionError("float division by zero")
+                return (math.nan, *v[1:])
+            return sweep(p, v, damping)
 
-    def test_sweep_into_undefined_diagnostics_is_retried(self):
-        """An undamped noiseless sweep without signal drives chi_hat to
-        exactly zero, where the overlap diagnostics are undefined; that sweep
-        is retried with a halved step instead of being accepted."""
+        monkeypatch.setattr(replica, "_mse_sweep", failing)
+        message = "sweep 5 failed" if failure == "raises" else "sweep 5 produced a non-finite value"
+        with pytest.raises(FixedPointError, match=message) as info:
+            solve_mse_fixed_point(params)
+        state = info.value.state
+        assert calls == [0.5] * 5
+        assert (state.mse, state.chi, state.m_hat, state.chi_hat) == values
+        assert state.iterations == 4 and not state.converged and not state.perfect
+
+    def test_sweep_into_undefined_diagnostics_raises(self):
+        """An undamped noiseless sweep without signal keeps mse at 0 and
+        drives chi_hat to exactly zero, where the overlap diagnostics are
+        undefined; the zero-estimate limit does not apply at mse = 0."""
         params = SystemParams(alpha=1e-8, lam=0.0037835, rho_x=0.0, rho_w=0.0)
         start = _mse_start(params)
+        assert start[0] == math.fsum(replica._mse_terms(params, *start[2:])) == 0.0
         with pytest.raises(ValueError, match="overlap diagnostics undefined"):
             _mse_sweep(params, start, 0.0)
-        values, _, iterations, retries, outcome = _damped_iteration(
-            lambda v, damping: _mse_sweep(params, v, damping),
-            start,
-            SolverConfig(damping=0.0, max_iters=1),
-        )
-        assert (outcome, iterations, retries) == ("budget", 1, 1)
-        assert values == _mse_sweep(params, start, 0.5)
-        assert values[3] > 0.0
 
-    def test_damped_iteration_retries_a_failing_sweep(self):
-        """A sweep that fails a fixed number of times is retried that many
-        times, each with half the remaining step, and never charged to the
-        budget; a fifth failure in one solve ends it."""
-        attempts = []
+    def test_zero_estimate_limit(self):
+        """At a large penalty the estimate is zero: Q(lam / sqrt(chi_hat))
+        underflows, chi falls out of the normal range and the m_hat update
+        takes its chi -> 0 limit. The solve converges to mse = rho_x sigma2_x,
+        chi_hat = alpha and m_hat = alpha sqrt(2/pi) [(1 - rho_w) / sqrt(mse)
+        + rho_w / sqrt(mse + sigma2_w)]."""
+        params = SystemParams(alpha=0.5, lam=50.0, rho_x=0.5, rho_w=0.1)
+        state = solve_mse_fixed_point(params)
+        assert state.converged and not state.perfect
+        assert state.mse == 0.5 and state.chi_hat == 0.5
+        assert state.chi < sys.float_info.min
+        limit = 0.5 * math.sqrt(2.0 / math.pi) * (0.9 / math.sqrt(0.5) + 0.1 / math.sqrt(1.5))
+        np.testing.assert_allclose(state.m_hat, limit, rtol=1e-12)
+        # undamped, chi is zero after the first sweep, which used to divide 0 by 0
+        params = SystemParams(alpha=0.64, lam=45.0, rho_x=0.82, rho_w=0.39)
+        state = solve_mse_fixed_point(params, SolverConfig(damping=0.0))
+        assert state.converged and state.chi == 0.0 and state.iterations == 3
+        np.testing.assert_allclose(state.mse, params.signal_power, rtol=1e-12)
 
-        def sweep(values, damping, failures):
-            attempts.append(damping)
-            if len(attempts) <= failures:
-                raise ZeroDivisionError
-            (x,) = values
-            return ((1.0 - damping) * (0.5 * x + 1.0) + damping * x,)
-
-        cfg = SolverConfig(damping=0.0)
-        values, residual, iterations, retries, outcome = _damped_iteration(
-            lambda v, d: sweep(v, d, 2), (0.0,), cfg
-        )
-        assert attempts[:3] == [0.0, 0.5, 0.75]
-        assert (outcome, retries, iterations) == ("converged", 2, 193)
-        assert residual <= cfg.rel_tol
-        np.testing.assert_allclose(values[0], 2.0, rtol=1e-11)
-
-        attempts.clear()
-        values, _, iterations, retries, outcome = _damped_iteration(
-            lambda v, d: sweep(v, d, 2), (0.0,), SolverConfig(damping=0.0, max_iters=3)
-        )
-        assert (outcome, retries, iterations) == ("budget", 2, 3)
-
-        attempts.clear()
-        values, residual, iterations, retries, outcome = _damped_iteration(
-            lambda v, d: sweep(v, d, 5), (0.0,), cfg
-        )
-        assert (outcome, retries, iterations, values) == ("non-finite", 4, 0, (0.0,))
-        assert residual == math.inf
+    @pytest.mark.parametrize("damping", [0.0, 0.5, 0.8])
+    def test_zero_estimate_grid(self, damping):
+        """Across a seeded grid with lam / sqrt(alpha) in [38, 400] every
+        solve converges to the zero estimate, its mse within 4 ulp of
+        rho_x sigma2_x, at each damping."""
+        cfg = SolverConfig(damping=damping)
+        for index, params in enumerate(_zero_estimate_points()):
+            state = solve_mse_fixed_point(params, cfg)
+            assert state.converged and not state.perfect, (index, params)
+            power = params.signal_power
+            assert abs(state.mse - power) <= 4.0 * math.ulp(power), (index, params, state.mse)
 
     def test_variance_invariant_phase(self):
         """The perfect/error verdict ignores the component variances."""
@@ -373,6 +392,18 @@ class TestThresholdFixedPoint:
         assert state.chi_hat == 0.001 and state.A == math.inf
         assert state.condition_residual == 5e-324
         assert solve_mse_fixed_point(SystemParams(0.001, 20.0, 0.0, 0.0)).perfect
+
+    def test_tiny_signal_density(self):
+        """With Q(lam / sqrt(chi_hat)) underflowed and rho_x below about
+        1e-160, the square of 2 (1 - rho_x) Q + rho_x underflows; t = 1 /
+        sqrt(A) is then formed from its root, and the points stay perfect."""
+        state = solve_threshold_fixed_point(0.001, 1.0, 1e-150, 0.0)
+        np.testing.assert_allclose(state.A, 1.001e150, rtol=1e-12)
+        for rho_x in (1e-170, 1e-200):
+            state = solve_threshold_fixed_point(0.001, 1.0, rho_x, 0.0)
+            assert state.converged and state.condition_residual > 0.0, rho_x
+            np.testing.assert_allclose(state.A, 1.001 / rho_x, rtol=1e-12)
+            assert solve_mse_fixed_point(SystemParams(0.001, 1.0, rho_x, 0.0)).perfect, rho_x
 
     def test_map_without_signal_matches_damped_iteration(self):
         """Where the plain A-update stays finite without signal, the root
@@ -570,6 +601,16 @@ class TestOptimizeLambda:
         for lam in (0.3, 0.7, 1.0, 2.0):
             state = solve_mse_fixed_point(SystemParams(lam=lam, **params))
             assert opt.objective_value <= state.mse + 1e-8, lam
+
+    def test_mse_objective_onto_the_zero_estimate(self):
+        """At alpha = 0.05 the mse falls with lam onto the zero-estimate
+        plateau mse = rho_x; the search probes past lam / sqrt(alpha) = 38
+        and returns a plateau weight instead of failing there."""
+        opt = optimize_lambda("mse", alpha=0.05, rho_x=0.3, rho_w=0.1)
+        assert 1e-3 <= opt.lambda_star <= 1e3
+        np.testing.assert_allclose(opt.objective_value, 0.3, rtol=1e-12)
+        state = solve_mse_fixed_point(SystemParams(0.05, opt.lambda_star, 0.3, 0.1))
+        assert state.converged and state.mse == opt.objective_value
 
     def test_returns_probed_pair(self):
         """The optimum is a weight that was evaluated, with its own value."""
