@@ -217,13 +217,13 @@ def _grid(args: argparse.Namespace) -> list[float]:
     if count == 1:
         return [args.grid_start]
     start, stop = args.grid_start, args.grid_stop
+    # the ends are the endpoints themselves, not the spacing formula rounded
     if args.grid_scale == "log":
         if not (start > 0.0 and stop > 0.0):
             raise _UsageError("log grids need positive endpoints")
-        # the ends are the endpoints themselves, not exp(log(endpoint))
         lo, hi = math.log(start), math.log(stop)
         return [start, *(math.exp(lo + i * (hi - lo) / (count - 1)) for i in range(1, count - 1)), stop]
-    return [start + i * (stop - start) / (count - 1) for i in range(count)]
+    return [*(start + i * (stop - start) / (count - 1) for i in range(count - 1)), stop]
 
 
 def _add_grid_flags(p: argparse.ArgumentParser, what: str) -> None:

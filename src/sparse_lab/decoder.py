@@ -6,10 +6,11 @@ Solves
 
 routed by a short damped max-sum GAMP prefix (Rangan, ISIT 2011). Inside
 the perfect-recovery phase GAMP's tau_r collapses, and the Chambolle-Pock
-first-order scheme runs warm-started from GAMP's point, finished by one
-full HiGHS vertex after _LP_HANDOFF uncertified sweeps. Outside it GAMP's
-point screens the rows and columns of a reduced linear program (as Gap
-Safe screening and working-set solvers do), solved exactly by HiGHS, then
+first-order scheme runs warm-started from GAMP's point with a dual step
+_PRIMAL_WEIGHT times its primal step, finished by one full HiGHS vertex
+after _LP_HANDOFF uncertified sweeps. Outside it GAMP's point screens
+the rows and columns of a reduced linear program (as Gap Safe screening
+and working-set solvers do), solved exactly by HiGHS, then
 once on the full program if that vertex fails. Both objective terms are
 polyhedral, so exact optimality can be certified: a subgradient vector is
 assembled from a dual vector and its stationarity violation, always on
@@ -54,6 +55,8 @@ _COLLAPSE = 1e-2
 
 # A perfect-phase run still uncertified after this many sweeps is finished by
 # one full LP solve: there the iteration usually certifies in a few hundred.
+# It stays for late GAMP collapses outside the phase: one n = 256 trial at
+# rho_x 0.11 needs 182,250 sweeps (about 5 s) where the handoff takes 80 ms.
 _LP_HANDOFF = 500
 
 # The reduced LP keeps the columns with |A^T s|_j >= (1 - _SCREEN_MARGIN) lam
@@ -68,9 +71,14 @@ _ROW_WIDEN = 1.5
 # Sweeps between certificate checks.
 _CHECK_EVERY = 50
 
-# Primal and dual steps are both this fraction of 1 / ||A||_2. Any value
-# below 1 converges (Chambolle & Pock, JMIV 2011); it sets speed, not answer.
+# tau sigma ||A||_2^2 = _STEP_SCALE^2; any value below 1 converges
+# (Chambolle & Pock, JMIV 2011): it sets speed, not answer.
 _STEP_SCALE = 0.99
+
+# sigma / tau, the primal weight of PDLP (Applegate et al., NeurIPS 2021):
+# tau = _STEP_SCALE / (w ||A||_2), sigma = _STEP_SCALE w / ||A||_2. A larger
+# dual step certifies in-phase decodes at n = 256-512 in fewer sweeps.
+_PRIMAL_WEIGHT = 16.0
 
 _POWER_SEED = 0x5EED
 
@@ -122,7 +130,7 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Stopping tolerances and budgets; the primal-dual step is fixed at 0.99 / ||A||_2."""
+    """Stopping tolerances and budgets; the primal-dual steps are fixed (see decode)."""
 
     primal_tol: float = 1e-9
     dual_tol: float = 1e-9
@@ -374,11 +382,13 @@ def decode(
 
     - If GAMP's tau_r collapses, the instance sits inside the perfect-
       recovery phase. The Chambolle-Pock iteration runs, warm-started from
-      GAMP's x and xi = -s, with the fixed step tau = sigma = 0.99 / ||A||_2
-      (estimate_operator_norm, computed only when sweeps run) and
-      extrapolation weight 1; a sweep is two matrix-vector products, a soft threshold
-      and a dual update done in place, and its iterates are bitwise those
-      of the textbook loop. A run still uncertified after _LP_HANDOFF
+      GAMP's x and xi = -s, with the fixed primal step tau = 0.99 /
+      (w ||A||_2) and dual step sigma = 0.99 w / ||A||_2 at the primal
+      weight w = _PRIMAL_WEIGHT (||A||_2 from estimate_operator_norm,
+      computed only when sweeps run) and extrapolation weight 1; a sweep
+      is two matrix-vector products, a soft threshold at tau lam and a
+      dual update done in place, and its iterates are bitwise those of
+      the textbook loop. A run still uncertified after _LP_HANDOFF
       sweeps is finished by one full-program HiGHS vertex.
     - Otherwise, after the whole prefix, the LP reduced at GAMP's (x, s)
       is solved (see _reduced_program), then, if its vertex is not
@@ -443,17 +453,19 @@ def decode(
 
     iterations = prefix
     if done is None and prefix < cfg.max_iters:
-        step = _STEP_SCALE / estimate_operator_norm(a, cfg.power_iters, cfg.power_tol)
-        cut = step * lam
+        norm = estimate_operator_norm(a, cfg.power_iters, cfg.power_tol)
+        tau = _STEP_SCALE / (_PRIMAL_WEIGHT * norm)
+        sigma = _STEP_SCALE * _PRIMAL_WEIGHT / norm
+        cut = tau * lam
         at_xi = a.T @ xi
         for iterations in range(prefix + 1, cfg.max_iters + 1):
             sweep = iterations - prefix
-            v = x - step * at_xi
+            v = x - tau * at_xi
             x_new = v - v.clip(-cut, cut)  # soft threshold at cut
             x_bar = 2.0 * x_new - x
-            xi_new = a @ x_bar  # clip(xi + step (A x_bar - y), -1, 1), in place
+            xi_new = a @ x_bar  # clip(xi + sigma (A x_bar - y), -1, 1), in place
             xi_new -= y
-            xi_new *= step
+            xi_new *= sigma
             xi_new += xi
             xi_new.clip(-1.0, 1.0, out=xi_new)
             at_xi_new = a.T @ xi_new

@@ -31,7 +31,12 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from sparse_lab.decoder import _STEP_SCALE, ProblemInstance, estimate_operator_norm
+from sparse_lab.decoder import (
+    _PRIMAL_WEIGHT,
+    _STEP_SCALE,
+    ProblemInstance,
+    estimate_operator_norm,
+)
 from sparse_lab.experiments import EnsembleSpec, sample_instance
 from sparse_lab.replica import (
     DEFAULT_SOLVER,
@@ -159,10 +164,13 @@ def chambolle_pock(
 ) -> np.ndarray:
     """Primal iterate after `sweeps` Chambolle-Pock sweeps from (x, xi), zero by default.
 
-    Steps tau = sigma = 0.99 / ||A||_2 with the decoder's default
-    operator-norm budget; extrapolation weight 1.
+    The decoder's steps, tau = _STEP_SCALE / (w ||A||_2) and sigma =
+    _STEP_SCALE w / ||A||_2 at the primal weight w = _PRIMAL_WEIGHT, with
+    its default operator-norm budget; extrapolation weight 1.
     """
-    tau = sigma = _STEP_SCALE / estimate_operator_norm(a)
+    norm = estimate_operator_norm(a)
+    tau = _STEP_SCALE / (_PRIMAL_WEIGHT * norm)
+    sigma = _STEP_SCALE * _PRIMAL_WEIGHT / norm
     x = np.zeros(a.shape[1]) if x is None else x
     xi = np.zeros(a.shape[0]) if xi is None else xi
     for _ in range(sweeps):

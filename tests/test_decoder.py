@@ -281,6 +281,22 @@ class TestExactFinish:
         m, n = instance.A.shape
         assert shapes == [(m, 2 * n + 2 * m)]
 
+    def test_late_collapse_takes_the_handoff(self):
+        """Just outside the phase GAMP's tau_r can still collapse, late; the
+        iteration would need about 182,000 sweeps here, the handoff LP ends it."""
+        params = SystemParams(alpha=0.5, lam=1.0, rho_x=0.11, rho_w=0.1)
+        instance = sample_instance(EnsembleSpec(n=256, params=params, trials=1, base_seed=777), 0)
+        _, _, prefix, collapsed = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
+        assert collapsed and prefix < decoder._GAMP_ITERS
+        result = decode(instance, 1.0)
+        assert result.converged
+        assert result.finish == "lp"
+        assert result.iterations == prefix + decoder._LP_HANDOFF
+        x = lp_decode(instance.A, instance.y, 1.0)
+        np.testing.assert_allclose(
+            result.objective, evaluate_objective(instance, x, 1.0), rtol=1e-9
+        )
+
     def test_perfect_phase_run_certifies_by_iteration(self, monkeypatch):
         """Cold sweeps reach the handoff uncertified here; from GAMP's point they certify."""
         instance = _ensemble_instance(0.02, 12)
