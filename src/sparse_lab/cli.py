@@ -269,6 +269,7 @@ _CURVE_COLUMNS = [
     "diag_m",
     "diag_q",
     "iterations",
+    "rejections",
     "mc_mean_mse",
     "mc_std_error",
     "mc_success_fraction",
@@ -313,6 +314,7 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
                 diag_m=state.diag_m,
                 diag_q=state.diag_q,
                 iterations=state.iterations,
+                rejections=state.rejections,
             )
         if args.with_mc:
             spec = EnsembleSpec(n=args.n, params=params, trials=args.trials, base_seed=_seed_of(args))

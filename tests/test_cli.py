@@ -251,8 +251,11 @@ class TestMseCurve:
             threshold = replica.solve_threshold_fixed_point(0.5, 1.0, record["rho_x"], 0.1)
             assert record["chi_hat"] == threshold.chi_hat
             assert record["iterations"] == threshold.iterations
+            assert record["rejections"] == 0
         for record in records[2:]:
             assert record["mse"] > 0.0 and math.isfinite(record["m_hat"])
+            state = replica.solve_mse_fixed_point(replica.SystemParams(0.5, 1.0, record["rho_x"], 0.1))
+            assert (record["iterations"], record["rejections"]) == (state.iterations, state.rejections)
 
     def _rows(self, argv, capsys):
         code, out, _ = run_cli(argv, capsys)
@@ -325,7 +328,8 @@ class TestMseCurve:
         )
         assert len(rows) == 1 and rows[0]["status"] == "failed"
         assert rows[0]["rho_x"] == "0.14999999999999999"
-        assert all(math.isnan(float(rows[0][column])) for column in ("mse", "chi_hat", "iterations"))
+        assert all(math.isnan(float(rows[0][column]))
+                   for column in ("mse", "chi_hat", "iterations", "rejections"))
 
     def test_with_mc_rows_do_not_depend_on_workers(self, capsys):
         """--with-mc fills the ensemble columns, and the rows are the same
