@@ -22,8 +22,9 @@ it: inside the perfect phase (positive condition residual) it returns the
 scaling limit of that phase, where m_hat runs away while mse / chi^2 and
 chi_hat tend to the threshold root's A and chi_hat. Elsewhere the damped
 sweep is iterated with safeguarded type-II Anderson acceleration of memory
-2: an extrapolated point that leaves the domain, or whose sweep fails or
-jumps, is replaced by the plain step. The budget counts sweeps, rejected
+2: an extrapolated point that leaves the domain, or whose sweep fails,
+jumps or misses a progress bound that shrinks with each extrapolated point
+kept, is replaced by the plain step. The budget counts sweeps, rejected
 ones too; a sweep that raises or goes non-finite at a plain point ends the
 solve. In the zero-estimate regime of a large penalty chi leaves the
 normal float range, and the sweep takes the m_hat update at its chi -> 0
@@ -71,13 +72,20 @@ _FLOAT_MIN = sys.float_info.min
 
 _SWEEP_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 
-# Anderson acceleration of the mse sweep: the differences kept, the largest
-# ratio of an extrapolated sweep's relative change to the last accepted one
-# (a strict decrease, ratio 1, keeps 1,323 sweeps at (0.5, 1, 0.0801, 0.1)
-# against 175), and the relative size below which a difference is rounding
-# and is not extrapolated
+# Anderson acceleration of the mse sweep: the differences kept; the largest
+# ratio of an extrapolated sweep's weighted change to that of the sweep it
+# extrapolates from (a strict decrease, ratio 1, keeps 1,327 sweeps at
+# (0.5, 1, 0.0801, 0.1) against 133); the scale D and power p of the progress
+# bound D r_1 (k + 1)^-p on the relative change of an extrapolated sweep, with
+# k the extrapolated sweeps kept before it and r_1 the first sweep's change
+# (after Zhang, O'Donoghue & Boyd, SIOPT 2020), which ends cycles of
+# extrapolations that each pass the ratio test (D = 10 keeps 427 sweeps at
+# that point); and the relative size below which a difference is rounding and
+# is not extrapolated
 _ANDERSON_MEMORY = 2
 _ANDERSON_SLACK = 10.0
+_ANDERSON_PROGRESS = 100.0
+_ANDERSON_POWER = 1.1
 _ANDERSON_ROUNDING = 1e-14
 
 
@@ -341,7 +349,7 @@ def _mse_sweep(p: SystemParams, values: tuple[float, ...], damping: float) -> tu
 
 
 def _anderson_candidate(
-    x: tuple[float, ...],
+    w: list[float],
     f: tuple[float, ...],
     g: tuple[float, ...],
     past: list[tuple[tuple[float, ...], tuple[float, ...]]],
@@ -349,15 +357,14 @@ def _anderson_candidate(
     """Type-II Anderson extrapolation from the sweep g = x + f and up to two earlier (f, g).
 
     The weights gamma minimize |f - sum_j gamma_j (f - f_j)| with each
-    component divided by |x| (floored at 1e-300), solved by the 2 x 2
-    normal equations; where their determinant is not positive only the
+    component i multiplied by w[i] = 1 / max(|x_i|, 1e-300), solved by the
+    2 x 2 normal equations; where their determinant is not positive only the
     newest difference is kept. The candidate is g - sum_j gamma_j (g - g_j), a
     difference within rounding of g left out, so that a component that has
     settled is not moved by amplified rounding. Returns g itself where the
     differences vanish, and None for a candidate that is not finite or has
     mse < 0 or chi, m_hat or chi_hat <= 0.
     """
-    w = [1.0 / (abs(v) if abs(v) > 1e-300 else 1e-300) for v in x]
     r = [fi * wi for fi, wi in zip(f, w)]
     cols = [[(fi - fj) * wi for fi, fj, wi in zip(f, fp, w)] for fp, _ in reversed(past)]
     d1 = cols[0]
@@ -393,21 +400,24 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
     whose iterations count the threshold map evaluations. Otherwise the
     damped sweep at cfg.damping is iterated from the all-zero estimate with
     safeguarded type-II Anderson acceleration (Walker & Ni, SINUM 2011) of
-    memory 2: each sweep's output, with those of up to two sweeps before
-    it, gives an extrapolated point to sweep next. That point is rejected,
-    the history cleared and the plain step (the last sweep's output) taken
+    memory 2: each sweep's output, with those of up to two sweeps before it,
+    gives an extrapolated point to sweep next. That point is rejected, the
+    history cleared and the plain step (the last sweep's output) taken
     instead when it is not finite or leaves the domain (mse < 0, or chi,
-    m_hat or chi_hat <= 0), or when the sweep at it raises, goes
-    non-finite or changes the variables by more than 10 times the last
-    accepted sweep did. The solve returns the output of the first sweep
-    whose largest relative change is at most cfg.rel_tol, with
-    converged=True. Every sweep counts toward cfg.max_iters, rejected ones
-    too. A sweep at a plain point that raises or produces a non-finite
-    value, or cfg.max_iters sweeps without convergence, raises
-    FixedPointError carrying the last accepted sweep's output. The overlap
-    diagnostics are evaluated once, for the state returned or raised. A
-    failed threshold solve raises its own FixedPointError, which carries a
-    ThresholdState.
+    m_hat or chi_hat <= 0), or when the sweep at it raises or goes
+    non-finite, or changes the variables by more than 10 times the sweep it
+    was extrapolated from, both changes divided by the magnitudes at that
+    sweep's point, or when its largest relative change exceeds
+    100 r_1 (k + 1)^-1.1, with k the extrapolated points kept before it and
+    r_1 the first sweep's largest relative change. The solve returns the
+    output of the first sweep whose largest relative change is at most
+    cfg.rel_tol, with converged=True. Every sweep counts toward
+    cfg.max_iters, rejected ones too. A sweep at a plain point that raises
+    or produces a non-finite value, or cfg.max_iters sweeps without
+    convergence, raises FixedPointError carrying the last accepted sweep's
+    output. The overlap diagnostics are evaluated once, for the state
+    returned or raised. A failed threshold solve raises its own
+    FixedPointError, which carries a ThresholdState.
     """
     threshold = solve_threshold_fixed_point(params.alpha, params.lam, params.rho_x, params.rho_w, cfg)
     if threshold.condition_residual > 0.0:
@@ -419,8 +429,10 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
     point = values = _mse_start(params)  # the point to sweep; the last accepted output
     fallback = None  # at an extrapolated point, the plain step it replaced
     past: list[tuple[tuple[float, ...], tuple[float, ...]]] = []  # (f, g) of earlier sweeps
-    residual = math.inf  # the largest relative change of the last accepted sweep
-    iterations = rejections = 0
+    w: list[float] = []  # 1 / |x| at the point of the sweep a candidate extrapolates
+    reference = math.inf  # that sweep's largest w-weighted change
+    first = residual = math.inf  # the largest relative change of the first and last accepted sweeps
+    iterations = rejections = accepted = 0  # accepted counts the extrapolated points kept
     failure = None
     while True:
         if iterations == cfg.max_iters:
@@ -442,13 +454,21 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
                     largest = change
             if math.isnan(total):
                 new, error = None, "produced a non-finite value"
-        if fallback is not None and (new is None or largest > _ANDERSON_SLACK * residual):
-            # the sweep at an extrapolated point failed or jumped: step plainly
-            iterations += 1
-            rejections += 1
-            past.clear()
-            point, fallback = fallback, None
-            continue
+        if fallback is not None:
+            # the relative change saturates near 1, so the jump test weighs the
+            # change by w, which does not; the progress bound ends cycles of
+            # extrapolations that each pass it
+            if (
+                new is None
+                or largest > _ANDERSON_PROGRESS * first * (accepted + 1) ** -_ANDERSON_POWER
+                or max(abs(x - old) * wi for x, old, wi in zip(new, point, w)) > _ANDERSON_SLACK * reference
+            ):
+                iterations += 1
+                rejections += 1
+                past.clear()
+                point, fallback = fallback, None
+                continue
+            accepted += 1
         if new is None:
             failure = f"sweep {iterations + 1} {error}"
             break
@@ -456,8 +476,14 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
         values, residual = new, largest
         if residual <= cfg.rel_tol:
             break
+        if iterations == 1:
+            first = residual
         f = (new[0] - point[0], new[1] - point[1], new[2] - point[2], new[3] - point[3])
-        candidate = _anderson_candidate(point, f, new, past) if past else new
+        candidate = new
+        if past:
+            w = [1.0 / (abs(v) if abs(v) > 1e-300 else 1e-300) for v in point]
+            reference = max(abs(fi) * wi for fi, wi in zip(f, w))
+            candidate = _anderson_candidate(w, f, new, past)
         past.append((f, new))
         del past[:-_ANDERSON_MEMORY]
         if candidate is None:

@@ -318,6 +318,31 @@ class TestMseFixedPoint:
         assert (outcome, sweeps) == ("converged", 4163)
         np.testing.assert_allclose(state.mse, values[0], rtol=1e-8)
 
+    @pytest.mark.parametrize("damping, point", [
+        (0.8, (0.013554197465603634, 0.0018348536210782875, 0.9870951613423672, 0.3551785187999462,
+               0.9715397507843193, 0.46499007726685654)),
+        (0.8, (1.3524189882194162, 0.06438710434825834, 0.9999914534676358, 0.2623132251243022,
+               1.0032249508506401, 0.2373230612555644)),
+        (0.0, (0.7843095870610555, 0.001655542497346684, 0.0, 0.8919423558785111,
+               1.7974807526147867, 2.935649803690624)),
+    ], ids=["cycle-near-mse-120", "cycle-of-accepted-jumps", "divergence"])
+    def test_off_default_damping(self, damping, point):
+        """Points 224, 1997 (damping 0.8) and 65 (damping 0) of the seeded
+        grid, which the plain loop solves. With a jump test on the relative
+        change alone, which saturates near 1, the first two cycled until the
+        budget ran out (near mse 120, and through extrapolations whose
+        changes stay about 3%) and the third diverged to mse 2.8e301. The
+        weighted jump test and the progress bound end these: the solve
+        converges in no more sweeps than the plain loop, to its mse within
+        1e-9 relative."""
+        params = SystemParams(*point)
+        cfg = SolverConfig(damping=damping, max_iters=50_000)
+        state = solve_mse_fixed_point(params, cfg)
+        assert state.converged and not state.perfect
+        outcome, values, sweeps = runaway_mse_verdict(params, cfg)
+        assert outcome == "converged" and state.iterations <= sweeps
+        np.testing.assert_allclose(state.mse, values[0], rtol=1e-9)
+
     @pytest.mark.parametrize("failure", ["raises", "non-finite"])
     def test_failing_sweep_ends_the_solve(self, monkeypatch, failure):
         """A sweep that raises or yields a non-finite value at a plain point
@@ -351,9 +376,11 @@ class TestMseFixedPoint:
         assert state.iterations == 3 and state.rejections == 1
         assert not state.converged and not state.perfect
 
-    @pytest.mark.parametrize("failure", ["raises", "non-finite"])
+    @pytest.mark.parametrize("failure", ["raises", "non-finite", "jumps"])
     def test_failing_extrapolated_sweep_is_rejected(self, monkeypatch, failure):
-        """A sweep that fails at an extrapolated point (sweep 3) counts as a
+        """A sweep that fails at an extrapolated point (sweep 3), or that
+        jumps there by multiplying mse a thousandfold (a relative change
+        under 1, so only the weighted jump test sees it), counts as a
         rejection and a sweep; the solve steps plainly from there and
         converges to the unpatched state."""
         params = SystemParams(alpha=0.6, lam=1.0, rho_x=0.15, rho_w=0.1)
@@ -366,6 +393,9 @@ class TestMseFixedPoint:
             if len(calls) == 3:
                 if failure == "raises":
                     raise ZeroDivisionError("float division by zero")
+                if failure == "jumps":
+                    out = sweep(p, v, damping)
+                    return (1e3 * out[0], *out[1:])
                 return (math.nan, *v[1:])
             return sweep(p, v, damping)
 
