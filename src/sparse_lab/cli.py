@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -119,6 +120,11 @@ def _default_seed() -> int:
         raise _UsageError(f"SPARSE_LAB_SEED must be an integer, got {raw!r}") from exc
 
 
+def _default_of(func, name: str) -> object:
+    """The default of func's parameter name, for the flag that sets it."""
+    return inspect.signature(func).parameters[name].default
+
+
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--output", default=None, metavar="PATH", help="write to a file instead of stdout")
@@ -130,23 +136,23 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_solver_flags(p: argparse.ArgumentParser, search: bool = False, penalty: bool = False) -> None:
+    """Flags of the solver settings a command reads: the search tolerance
+    with search, the penalty search's bracket with penalty."""
     d = DEFAULT_SOLVER
-    p.add_argument("--damping", type=float, default=d.damping, help="mse fixed point damping in [0, 1)")
     p.add_argument("--rel-tol", type=float, default=d.rel_tol, help="mse sweep / threshold root tolerance")
     p.add_argument("--max-iters", type=int, default=d.max_iters, help="mse sweeps / threshold evaluations")
-    p.add_argument(
-        "--lambda-min", type=float, default=d.lambda_bracket[0], help="penalty search bracket, lower end"
-    )
-    p.add_argument(
-        "--lambda-max", type=float, default=d.lambda_bracket[1], help="penalty search bracket, upper end"
-    )
-    p.add_argument(
-        "--bisection-tol",
-        type=float,
-        default=d.bisection_tol,
-        help="search tolerance of the phase boundary (to half of it) and of log(lambda)",
-    )
+    if search:
+        p.add_argument(
+            "--bisection-tol",
+            type=float,
+            default=d.bisection_tol,
+            help="search tolerance of the phase boundary (to half of it) and of log(lambda)",
+        )
+    if penalty:
+        lo, hi = d.lambda_bracket
+        p.add_argument("--lambda-min", type=float, default=lo, help="penalty search bracket, lower end")
+        p.add_argument("--lambda-max", type=float, default=hi, help="penalty search bracket, upper end")
 
 
 def _add_system_flags(p: argparse.ArgumentParser, with_variances: bool = True) -> None:
@@ -170,7 +176,8 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=256, help="signal dimension")
     p.add_argument("--trials", type=int, default=50, help="number of sampled instances")
     p.add_argument("--seed", type=int, default=None, help="base seed (default: SPARSE_LAB_SEED or 12345)")
-    p.add_argument("--success-tol", type=float, default=1e-6, help="per-component success threshold")
+    tol = _default_of(run_monte_carlo, "success_tol")
+    p.add_argument("--success-tol", type=float, default=tol, help="per-component success threshold")
     p.add_argument(
         "--workers",
         type=int,
@@ -180,12 +187,13 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
+    """The command's solver flags over DEFAULT_SOLVER, which supplies the settings it lacks."""
+    d = DEFAULT_SOLVER
     return SolverConfig(
-        damping=args.damping,
         rel_tol=args.rel_tol,
         max_iters=args.max_iters,
-        lambda_bracket=(args.lambda_min, args.lambda_max),
-        bisection_tol=args.bisection_tol,
+        lambda_bracket=(args.lambda_min, args.lambda_max) if "lambda_min" in args else d.lambda_bracket,
+        bisection_tol=getattr(args, "bisection_tol", d.bisection_tol),
     )
 
 
@@ -404,6 +412,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         workers=args.workers,
         progress=_progress("mc"),
     )
+    replica = solve_mse_fixed_point(params)
     meta = _meta_of(args, seed=_seed_of(args))
     record = {
         "n": spec.n,
@@ -413,8 +422,8 @@ def cmd_mc(args: argparse.Namespace) -> int:
         "std_error": aggregate.std_error,
         "success_fraction": aggregate.success_fraction,
         "not_converged": aggregate.not_converged,
-        "replica_mse": aggregate.replica_mse,
-        "replica_perfect": aggregate.replica_perfect,
+        "replica_mse": replica.mse,
+        "replica_perfect": replica.perfect,
     }
     _emit(args, meta, [record], list(record.keys()))
     return 0
@@ -446,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="locate the perfect-recovery boundary")
     p.add_argument("--solve-for", choices=("rho-x", "alpha"), required=True)
     _add_system_flags(p, with_variances=False)
-    _add_solver_flags(p)
+    _add_solver_flags(p, search=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_threshold)
 
@@ -464,8 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phase-diagram", help="boundary over a density grid")
     _add_grid_flags(p, "rho_x")
     p.add_argument("--deltas", default="0.2,0.1,0.02", help="comma list of rho_w / rho_x ratios")
-    p.add_argument("--lambda-mode", choices=("fixed", "both"), default="both")
-    _add_solver_flags(p)
+    mode = _default_of(sweep_phase_diagram, "lambda_mode")
+    p.add_argument("--lambda-mode", choices=("fixed", "both"), default=mode)
+    _add_solver_flags(p, search=True, penalty=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_phase_diagram)
 
@@ -476,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     _add_system_flags(p)
-    _add_solver_flags(p)
+    _add_solver_flags(p, search=True, penalty=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_optimize_lambda)
 

@@ -32,14 +32,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .decoder import DEFAULT_DECODER, DecoderConfig, ProblemInstance, decode
-from .replica import (
-    DEFAULT_SOLVER,
-    SolverConfig,
-    SystemParams,
-    find_critical_alpha,
-    optimize_lambda,
-    solve_mse_fixed_point,
-)
+from .replica import DEFAULT_SOLVER, SolverConfig, SystemParams, find_critical_alpha, optimize_lambda
 
 __all__ = [
     "EnsembleSpec",
@@ -114,13 +107,11 @@ class TrialSummary:
 
 @dataclass(frozen=True)
 class Aggregate:
-    """Ensemble summary next to the infinite-size prediction.
+    """Ensemble summary of the decoded trials.
 
     mean_mse averages the per-component squared error over all trials,
     including any whose decode did not converge; not_converged reports how
-    many those were so they are never silently absorbed. replica_mse is
-    0.0 with replica_perfect=True when the parameters sit inside the
-    perfect reconstruction phase.
+    many those were so they are never silently absorbed.
     """
 
     mean_mse: float
@@ -128,8 +119,6 @@ class Aggregate:
     success_fraction: float
     trials: int
     not_converged: int
-    replica_mse: float
-    replica_perfect: bool
 
 
 def _stream(base_seed: int, trial_index: int, tag: int) -> np.random.Generator:
@@ -256,7 +245,7 @@ def run_monte_carlo(
     workers: int = 1,
     progress: ProgressCallback | None = None,
 ) -> Aggregate:
-    """Decode spec.trials instances and compare with the prediction.
+    """Decode spec.trials instances and summarize their errors.
 
     Trials are aggregated in trial-index order regardless of worker count,
     so the result is bitwise independent of workers. With more than one
@@ -298,17 +287,12 @@ def run_monte_carlo(
         std_error = 0.0
     success_fraction = sum(1 for e in errors if e <= success_tol) / len(errors)
     not_converged = sum(1 for s in summaries if not s.converged)
-
-    replica_state = solve_mse_fixed_point(spec.params)
-
     return Aggregate(
         mean_mse=mean_mse,
         std_error=std_error,
         success_fraction=success_fraction,
         trials=spec.trials,
         not_converged=not_converged,
-        replica_mse=replica_state.mse,
-        replica_perfect=replica_state.perfect,
     )
 
 

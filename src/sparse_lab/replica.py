@@ -20,18 +20,18 @@ system is one scalar equation in chi_hat, solved by Brent's root finder
 (scipy's brentq) on a known bracket. The error fixed point first solves
 it: inside the perfect phase (positive condition residual) it returns the
 scaling limit of that phase, where m_hat runs away while mse / chi^2 and
-chi_hat tend to the threshold root's A and chi_hat. Elsewhere the damped
-sweep is iterated with safeguarded type-II Anderson acceleration of memory
-2: an extrapolated point that leaves the domain, or whose sweep fails,
-jumps or misses a progress bound that shrinks with each extrapolated point
-kept, is replaced by the plain step. The budget counts sweeps, rejected
-ones too; a sweep that raises or goes non-finite at a plain point ends the
-solve. In the zero-estimate regime of a large penalty chi leaves the
-normal float range, and the sweep takes the m_hat update at its chi -> 0
-limit. The overlap diagnostics are evaluated once, for the state a solve
-returns or raises. The boundary is then pinned in rho_x or alpha by
-brentq again, and Brent's bounded minimizer (scipy's minimize_scalar)
-tunes the penalty weight lam.
+chi_hat tend to the threshold root's A and chi_hat. Elsewhere the sweep,
+damped by the fixed weight 0.5, is iterated with safeguarded type-II
+Anderson acceleration of memory 2: an extrapolated point that leaves the
+domain, or whose sweep fails, jumps or misses a progress bound that
+shrinks with each extrapolated point kept, is replaced by the plain step.
+The budget counts sweeps, rejected ones too; a sweep that raises or goes
+non-finite at a plain point ends the solve. In the zero-estimate regime
+of a large penalty chi leaves the normal float range, and the sweep takes
+the m_hat update at its chi -> 0 limit. The overlap diagnostics are
+evaluated once, for the state a solve returns or raises. The boundary is
+then pinned in rho_x or alpha by brentq again, and Brent's bounded
+minimizer (scipy's minimize_scalar) tunes the penalty weight lam.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _FLOAT_MIN = sys.float_info.min
 
 _SWEEP_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
+
+# Relaxation weight of the mse sweep: it moves the path of a solve, not its fixed point
+_DAMPING = 0.5
 
 # Anderson acceleration of the mse sweep: the differences kept; the largest
 # ratio of an extrapolated sweep's weighted change to that of the sweep it
@@ -133,26 +136,21 @@ class SystemParams:
 class SolverConfig:
     """Iteration and search knobs shared by the solvers.
 
-    damping is the relaxation weight of the mse sweep only: each variable
-    moves to (1 - damping) * update + damping * old, and this damped sweep
-    is the map whose fixed point the accelerated mse solve seeks. rel_tol
-    is the largest relative change of an mse sweep that counts as
+    rel_tol is the largest relative change of an mse sweep that counts as
     converged, and the relative tolerance on chi_hat of the threshold
-    root. max_iters bounds the mse sweeps, or the evaluations of
-    the threshold map. bisection_tol is the search tolerance: boundary
-    roots are pinned to within half of it, and the penalty search stops
-    when its bracket on log(lam) is about that wide.
+    root. max_iters bounds the mse sweeps, or the evaluations of the
+    threshold map. bisection_tol is the search tolerance: boundary roots
+    are pinned to within half of it, and the penalty search stops when its
+    bracket on log(lam) is about that wide. The mse sweep's damping is the
+    constant _DAMPING, not a setting.
     """
 
-    damping: float = 0.5
     rel_tol: float = 1e-12
     max_iters: int = 200_000
     lambda_bracket: tuple[float, float] = (1e-3, 1e3)
     bisection_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.damping < 1.0:
-            raise ValueError(f"damping must lie in [0, 1), got {self.damping!r}")
         _check_positive("rel_tol", self.rel_tol)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
@@ -296,7 +294,8 @@ def _mse_sweep(p: SystemParams, values: tuple[float, ...], damping: float) -> tu
 
     The sweep is sequential: chi uses the incoming m_hat and chi_hat, the
     conjugate pair uses the fresh mse and chi. Each variable is blended as
-    new = (1 - damping) * update + damping * old. Where chi has left the
+    new = (1 - damping) * update + damping * old; solves sweep at _DAMPING,
+    and reference iterations may vary it. Where chi has left the
     normal float range and mse > 0 (the zero estimate of a large penalty),
     the m_hat update m_acc / chi is taken at its chi -> 0 limit
     alpha sqrt(2/pi) [(1 - rho_w) / sqrt(mse) + rho_w / sqrt(mse + sigma2_w)].
@@ -398,7 +397,7 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
     The threshold system is solved first, with the same cfg. A positive
     condition residual returns the perfect state (see FixedPointState),
     whose iterations count the threshold map evaluations. Otherwise the
-    damped sweep at cfg.damping is iterated from the all-zero estimate with
+    sweep damped at 0.5 is iterated from the all-zero estimate with
     safeguarded type-II Anderson acceleration (Walker & Ni, SINUM 2011) of
     memory 2: each sweep's output, with those of up to two sweeps before it,
     gives an extrapolated point to sweep next. That point is rejected, the
@@ -439,7 +438,7 @@ def solve_mse_fixed_point(params: SystemParams, cfg: SolverConfig = DEFAULT_SOLV
             failure = f"no convergence after {cfg.max_iters} sweeps (last residual {residual:.3e})"
             break
         try:
-            new = _mse_sweep(params, point, cfg.damping)
+            new = _mse_sweep(params, point, _DAMPING)
         except _SWEEP_ERRORS as exc:
             new, error = None, f"failed: {exc}"
         else:
@@ -592,7 +591,7 @@ def solve_threshold_fixed_point(
 
     def gap(chi_hat: float) -> float:
         if len(a_of) == cfg.max_iters:
-            message = f"threshold fixed point not converged after {cfg.max_iters} sweeps"
+            message = f"threshold fixed point not converged after {cfg.max_iters} map evaluations"
         else:
             try:
                 a_value, g = _threshold_update(alpha, lam, rho_x, rho_w, chi_hat)

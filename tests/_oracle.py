@@ -198,15 +198,15 @@ def _threshold_sweep(alpha, lam, rho_x, rho_w, values, damping):
     return a_new, mix * h_acc + damping * chi_hat
 
 
-def damped_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg=DEFAULT_SOLVER):
-    """(A, chi_hat, sweeps) of the damped iteration from (1, alpha).
+def damped_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg=DEFAULT_SOLVER, damping=0.5):
+    """(A, chi_hat, sweeps) of the iteration damped at damping from (1, alpha).
 
-    Damping, tolerance and budget are cfg's. Raises RuntimeError unless
-    the largest relative change of a sweep falls to cfg.rel_tol.
+    Tolerance and budget are cfg's. Raises RuntimeError unless the largest
+    relative change of a sweep falls to cfg.rel_tol.
     """
     values = (1.0, alpha)
     for sweeps in range(1, cfg.max_iters + 1):
-        new = _threshold_sweep(alpha, lam, rho_x, rho_w, values, cfg.damping)
+        new = _threshold_sweep(alpha, lam, rho_x, rho_w, values, damping)
         if not all(map(math.isfinite, new)):
             raise RuntimeError(f"damped threshold iteration went non-finite at sweep {sweeps}")
         change = max(abs(x - old) / max(abs(x), abs(old), 1e-300) for x, old in zip(new, values))
@@ -222,17 +222,16 @@ _RUNAWAY_M_HAT = 1e12
 _RUNAWAY_MSE = 1e-24
 
 
-def runaway_mse_verdict(params, cfg=DEFAULT_SOLVER):
+def runaway_mse_verdict(params, cfg=DEFAULT_SOLVER, damping=0.5):
     """(outcome, values, sweeps) of the damped mse iteration with a divergence stop.
 
-    The iteration starts from the all-zero estimate with cfg's damping,
+    The iteration starts from the all-zero estimate at damping, with cfg's
     tolerance and budget. outcome is "perfect" when m_hat > 1e12 while
     mse < 1e-24 before a sweep, "converged" once the largest relative
     change of a sweep falls to cfg.rel_tol, "non-finite" after a fifth
     sweep that raises or yields a non-finite value (each halves the step
     and is not counted), and "budget" after cfg.max_iters sweeps.
     """
-    damping = cfg.damping
     retries = sweeps = 0
     values = _mse_start(params)
     while sweeps < cfg.max_iters:

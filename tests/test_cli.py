@@ -71,6 +71,20 @@ class TestDefaults:
     MC = ["mc", "--rho-w", "0.1"]
     CURVE = ["mse-curve", "--rho-w", "0.1", "--grid-start", "0.1", "--grid-stop", "0.2",
              "--grid-count", "2"]
+    PHASE = ["phase-diagram", "--grid-start", "0.1", "--grid-stop", "0.1", "--grid-count", "1",
+             "--deltas", "0.1"]
+    # each replica command with the solver settings it reads, as flag dests
+    SOLVER_FLAGS = {
+        "threshold": (["threshold", "--solve-for", "rho-x", "--alpha", "0.5", "--rho-w", "0.1"],
+                      {"rel_tol", "max_iters", "bisection_tol"}),
+        "mse-curve": ([*CURVE, "--alpha", "0.5"], {"rel_tol", "max_iters"}),
+        "phase-diagram": ([*PHASE, "--lambda-mode", "fixed"],
+                          {"rel_tol", "max_iters", "bisection_tol", "lambda_min", "lambda_max"}),
+        "optimize-lambda": (["optimize-lambda", "--objective", "critical-rho-x", "--alpha", "0.5",
+                             "--rho-w", "0.1"],
+                            {"rel_tol", "max_iters", "bisection_tol", "lambda_min", "lambda_max"}),
+    }
+    ALL_SOLVER_FLAGS = {"rel_tol", "max_iters", "bisection_tol", "lambda_min", "lambda_max", "damping"}
 
     @pytest.mark.parametrize("argv", [MC, CURVE], ids=["mc", "mse-curve"])
     def test_decoder_and_variance_flags(self, argv):
@@ -79,8 +93,36 @@ class TestDefaults:
         assert [args.sigma2_x, args.sigma2_w] == self.VARIANCES
 
     def test_solver_flags(self):
-        args = cli.build_parser().parse_args(self.CURVE)
-        assert cli._solver_config(args) == replica.DEFAULT_SOLVER
+        for argv, _ in self.SOLVER_FLAGS.values():
+            args = cli.build_parser().parse_args(argv)
+            assert cli._solver_config(args) == replica.DEFAULT_SOLVER, argv[0]
+
+    @pytest.mark.parametrize("command", SOLVER_FLAGS)
+    def test_each_command_takes_the_solver_flags_it_reads(self, command, capsys):
+        """The parser offers exactly these solver flags, and the JSON meta
+        echoes exactly these solver settings."""
+        argv, read = self.SOLVER_FLAGS[command]
+        assert set(vars(cli.build_parser().parse_args(argv))) & self.ALL_SOLVER_FLAGS == read
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0
+        assert set(json.loads(out)["meta"]) & self.ALL_SOLVER_FLAGS == read
+
+    @pytest.mark.parametrize("command, flag", [
+        ("threshold", "--damping"), ("threshold", "--lambda-min"), ("threshold", "--lambda-max"),
+        ("mse-curve", "--damping"), ("mse-curve", "--lambda-min"), ("mse-curve", "--lambda-max"),
+        ("mse-curve", "--bisection-tol"), ("phase-diagram", "--damping"), ("optimize-lambda", "--damping"),
+    ])
+    def test_unread_solver_flag_exits_2(self, command, flag, capsys):
+        code, _, err = run_cli([*self.SOLVER_FLAGS[command][0], flag, "0.5"], capsys)
+        assert code == 2 and "unrecognized arguments" in err
+
+    def test_harness_defaults(self):
+        parser = cli.build_parser()
+        mc = inspect.signature(experiments.run_monte_carlo).parameters
+        assert parser.parse_args(self.MC).success_tol == mc["success_tol"].default
+        assert parser.parse_args(self.CURVE).success_tol == mc["success_tol"].default
+        sweep = inspect.signature(experiments.sweep_phase_diagram).parameters
+        assert parser.parse_args(self.PHASE).lambda_mode == sweep["lambda_mode"].default
 
     def test_optimize_lambda_variances(self):
         params = inspect.signature(replica.optimize_lambda).parameters
@@ -135,7 +177,7 @@ class TestExitCodes:
             capsys,
         )
         assert code == 1
-        assert "error: threshold fixed point not converged after 3 sweeps" in err
+        assert "error: threshold fixed point not converged after 3 map evaluations" in err
 
     def test_version(self, capsys):
         code, out, _ = run_cli(["--version"], capsys)
@@ -164,7 +206,6 @@ class TestThreshold:
         assert meta["version"] == __version__
         assert meta["lambda"] == 1.0
         assert meta["alpha"] == 0.5
-        assert meta["damping"] == 0.5
 
     def test_critical_ratio(self, capsys):
         code, out, _ = run_cli(
@@ -530,6 +571,21 @@ class TestMonteCarlo:
         assert record["mean_mse"] >= 0.0
         assert record["replica_mse"] > 0.0
         assert payload["meta"]["seed"] == 3
+
+    def test_replica_fields(self, capsys):
+        """The record carries the replica solve of its point: a positive
+        mse outside the perfect phase, 0 inside it."""
+        for rho_x, perfect in ((0.3, False), (0.05, True)):
+            code, out, _ = run_cli(
+                ["mc", "--alpha", "0.5", "--rho-x", str(rho_x), "--rho-w", "0.1", "--n", "32",
+                 "--trials", "2", "--workers", "1", "--format", "json"],
+                capsys,
+            )
+            assert code == 0
+            record = json.loads(out)["records"][0]
+            state = replica.solve_mse_fixed_point(replica.SystemParams(0.5, 1.0, rho_x, 0.1))
+            assert state.perfect is perfect and (state.mse == 0.0) is perfect
+            assert (record["replica_mse"], record["replica_perfect"]) == (state.mse, perfect)
 
     def test_dead_worker_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)

@@ -199,14 +199,6 @@ class TestRunMonteCarlo:
         assert aggregate.std_error == 0.0
         assert aggregate.trials == 1
 
-    def test_replica_fields(self):
-        aggregate = run_monte_carlo(_spec(rho_x=0.3))
-        assert not aggregate.replica_perfect
-        assert aggregate.replica_mse > 0.0
-        perfect = run_monte_carlo(_spec(n=64, rho_x=0.05, trials=2))
-        assert perfect.replica_perfect
-        assert perfect.replica_mse == 0.0
-
     def test_success_fraction_depends_on_tolerance(self):
         spec = _spec(n=64, rho_x=0.05, trials=4)
         strict = run_monte_carlo(spec, success_tol=1e-30)
