@@ -50,6 +50,9 @@ __all__ = ["main", "build_parser"]
 # config keys that map to bare boolean flags
 _BOOL_KEYS = {"with-mc"}
 
+# the settings of the ensemble and its decoder, read only with --with-mc
+_MC_KEYS = ("n", "trials", "seed", "workers", "success_tol", "decoder_tol", "decoder_max_iters")
+
 _COMPUTE_ERRORS = (FixedPointError, BracketError, ObjectiveProbeError, BrokenProcessPool)
 
 
@@ -67,15 +70,16 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _meta_of(args: argparse.Namespace, **resolved: object) -> dict:
-    """Echo the complete configuration the run actually used.
+def _meta_of(args: argparse.Namespace, unread: Sequence[str] = (), **resolved: object) -> dict:
+    """Echo the configuration the run actually used.
 
     Every flag of the subcommand appears, with values after config-file
-    injection and defaulting; keyword overrides supply values resolved
-    outside argparse (the seed). Output routing flags are omitted since
-    they do not affect the computation.
+    injection and defaulting, except the destinations in unread, which this
+    run (its mode, objective or axis) never reads; keyword overrides supply
+    values resolved outside argparse (the seed). Output routing flags are
+    omitted since they do not affect the computation.
     """
-    skip = {"command", "func", "format", "output", "config"}
+    skip = {"command", "func", "format", "output", "config", *unread}
     meta: dict[str, object] = {"command": args.command, "version": __version__}
     for key, value in sorted(vars(args).items()):
         if key in skip:
@@ -140,14 +144,19 @@ def _add_solver_flags(p: argparse.ArgumentParser, search: bool = False, penalty:
     """Flags of the solver settings a command reads: the search tolerance
     with search, the penalty search's bracket with penalty."""
     d = DEFAULT_SOLVER
-    p.add_argument("--rel-tol", type=float, default=d.rel_tol, help="mse sweep / threshold root tolerance")
+    p.add_argument(
+        "--rel-tol",
+        type=float,
+        default=d.rel_tol,
+        help="mse sweep, threshold root and alpha boundary tolerance",
+    )
     p.add_argument("--max-iters", type=int, default=d.max_iters, help="mse sweeps / threshold evaluations")
     if search:
         p.add_argument(
             "--bisection-tol",
             type=float,
             default=d.bisection_tol,
-            help="search tolerance of the phase boundary (to half of it) and of log(lambda)",
+            help="search tolerance of the rho_x boundary (to half of it) and of log(lambda)",
         )
     if penalty:
         lo, hi = d.lambda_bracket
@@ -247,11 +256,14 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         alpha = _require(args, "--alpha", "when solving for the critical density")
         rho_x_c = find_critical_rho_x(alpha, args.lam, args.rho_w, cfg)
         alpha_c = alpha
+        unread = ("rho_x",)
     else:
         rho_x_c = _require(args, "--rho-x", "when solving for the critical measurement ratio")
         alpha_c = find_critical_alpha(args.lam, rho_x_c, args.rho_w, cfg)
+        # the alpha boundary is a root in chi_hat, to --rel-tol
+        unread = ("alpha", "bisection_tol")
     state = solve_threshold_fixed_point(alpha_c, args.lam, rho_x_c, args.rho_w, cfg)
-    meta = _meta_of(args)
+    meta = _meta_of(args, unread)
     record = {
         "solve_for": args.solve_for,
         "alpha_c": alpha_c,
@@ -340,7 +352,12 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
             )
         records.append(record)
         progress(index + 1, len(grid))
-    _emit(args, _meta_of(args, seed=_seed_of(args)), records, _CURVE_COLUMNS)
+    axis = "rho_x" if args.axis == "rho-x" else "alpha"
+    if args.with_mc:
+        meta = _meta_of(args, (axis,), seed=_seed_of(args))
+    else:
+        meta = _meta_of(args, (axis, *_MC_KEYS))
+    _emit(args, meta, records, _CURVE_COLUMNS)
     return 0
 
 
@@ -360,19 +377,25 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         progress=_progress("phase-diagram"),
     )
     columns = [f.name for f in fields(PhaseDiagramRow)]
-    _emit(args, _meta_of(args), [asdict(row) for row in rows], columns)
+    # at lam = 1 alone the only search is the alpha boundary, a root in chi_hat to --rel-tol
+    unread = ("bisection_tol", "lambda_min", "lambda_max") if args.lambda_mode == "fixed" else ()
+    _emit(args, _meta_of(args, unread), [asdict(row) for row in rows], columns)
     return 0
 
 
 def cmd_optimize_lambda(args: argparse.Namespace) -> int:
     cfg = _solver_config(args)
+    # the penalty is searched, never read; the boundary needs no variances
     if args.objective == "critical-rho-x":
         _require(args, "--alpha", "for the critical-density objective")
+        unread: tuple[str, ...] = ("rho_x", "lam", "sigma2_x", "sigma2_w")
     elif args.objective == "critical-alpha":
         _require(args, "--rho-x", "for the critical-ratio objective")
+        unread = ("alpha", "lam", "sigma2_x", "sigma2_w")
     else:
         _require(args, "--alpha", "for the mse objective")
         _require(args, "--rho-x", "for the mse objective")
+        unread = ("lam",)
     optimum = optimize_lambda(
         args.objective,
         alpha=args.alpha,
@@ -382,7 +405,7 @@ def cmd_optimize_lambda(args: argparse.Namespace) -> int:
         sigma2_w=args.sigma2_w,
         cfg=cfg,
     )
-    meta = _meta_of(args)
+    meta = _meta_of(args, unread)
     record = {
         "objective": args.objective,
         "alpha": math.nan if args.alpha is None else args.alpha,

@@ -29,9 +29,16 @@ The budget counts sweeps, rejected ones too; a sweep that raises or goes
 non-finite at a plain point ends the solve. In the zero-estimate regime
 of a large penalty chi leaves the normal float range, and the sweep takes
 the m_hat update at its chi -> 0 limit. The overlap diagnostics are
-evaluated once, for the state a solve returns or raises. The boundary is
-then pinned in rho_x or alpha by brentq again, and Brent's bounded
-minimizer (scipy's minimize_scalar) tunes the penalty weight lam.
+evaluated once, for the state a solve returns or raises.
+
+The boundary in rho_x is pinned by brentq in rho_x, each probe a
+threshold solve, since rho_x enters the map nonlinearly. alpha enters it
+only as a factor, G = alpha g(chi_hat), so the fixed point chi_hat
+belongs to alpha = chi_hat / g(chi_hat): the boundary in alpha is one
+brentq root in chi_hat of the condition residual along that curve,
+between the roots of the threshold solves at alpha = 1e-4 and 1, with no
+solve nested inside it. Brent's bounded minimizer (scipy's
+minimize_scalar) tunes the penalty weight lam.
 """
 
 from __future__ import annotations
@@ -138,11 +145,12 @@ class SolverConfig:
 
     rel_tol is the largest relative change of an mse sweep that counts as
     converged, and the relative tolerance on chi_hat of the threshold
-    root. max_iters bounds the mse sweeps, or the evaluations of the
-    threshold map. bisection_tol is the search tolerance: boundary roots
-    are pinned to within half of it, and the penalty search stops when its
-    bracket on log(lam) is about that wide. The mse sweep's damping is the
-    constant _DAMPING, not a setting.
+    root and of the alpha boundary's root. max_iters bounds the mse sweeps,
+    or the evaluations of the threshold map in one root. bisection_tol is
+    the search tolerance: the rho_x boundary is pinned to within half of
+    it, and the penalty search stops when its bracket on log(lam) is about
+    that wide. The mse sweep's damping is the constant _DAMPING, not a
+    setting.
     """
 
     rel_tol: float = 1e-12
@@ -557,6 +565,64 @@ def _threshold_update(
     return a_value, g
 
 
+def _counted_map(
+    alpha: float, lam: float, rho_x: float, rho_w: float, cfg: SolverConfig
+) -> tuple[Callable[[float], tuple[float, float]], dict[float, float]]:
+    """_threshold_update at fixed (alpha, lam, rho_x, rho_w), counted against cfg.max_iters.
+
+    Returns the map chi_hat -> (A, G) and the dict of A at each evaluated
+    chi_hat, in order. An evaluation past the budget, or a map value that is
+    not finite, raises FixedPointError carrying the last evaluated point
+    (NaN before the first) with a NaN condition_residual.
+    """
+    a_of: dict[float, float] = {}
+
+    def update(chi_hat: float) -> tuple[float, float]:
+        if len(a_of) == cfg.max_iters:
+            message = f"threshold fixed point not converged after {cfg.max_iters} map evaluations"
+        else:
+            try:
+                a_value, g = _threshold_update(alpha, lam, rho_x, rho_w, chi_hat)
+            except _SWEEP_ERRORS:
+                g = math.nan
+            if math.isnan(g):
+                message = f"threshold map is non-finite at chi_hat={chi_hat:.6g}"
+            else:
+                a_of[chi_hat] = a_value
+                return a_value, g
+        last_chi_hat, last_a = next(reversed(a_of.items()), (math.nan, math.nan))
+        raise FixedPointError(message, ThresholdState(last_a, last_chi_hat, math.nan, False, len(a_of)))
+
+    return update, a_of
+
+
+def _condition_residual(
+    alpha: float, lam: float, rho_x: float, rho_w: float, a_value: float, chi_hat: float
+) -> float:
+    """The boundary condition at a threshold fixed point (A, chi_hat) of alpha.
+
+    alpha (1 - rho_w) erf(1 / sqrt(2 A)) - (2 (1 - rho_x) Q(lam / sqrt(chi_hat))
+    + rho_x), positive inside the perfect phase. Without signal both terms
+    can underflow; the residual is then the smallest subnormal, with the
+    sign of their log ratio.
+    """
+    # erf form of 1 - 2 Q avoids cancellation for small arguments
+    clean = alpha * (1.0 - rho_w) * math.erf(1.0 / math.sqrt(2.0 * a_value))
+    u = lam / math.sqrt(chi_hat)
+    residual = clean - (2.0 * (1.0 - rho_x) * q_function(u) + rho_x)
+    if clean == 0.0 and rho_x == 0.0 and rho_w < 1.0:
+        # the clean term underflows, or t^2 did, and the support term 2 Q(u)
+        # is zero or subnormal: decide the sign in log form. With erf(t /
+        # sqrt 2) ~ t sqrt(2 / pi) the ratio of the two terms is
+        # alpha (1 - rho_w) / sqrt(pi chi_hat bracket phi(u)); the bracket is
+        # floored at its rounding noise, reached only far past any sign change
+        bracket = max(_mills_terms(u)[1], math.ulp(u))
+        log_ratio = (math.log(alpha * (1.0 - rho_w)) + 0.25 * u * u + 0.5 * math.log(_SQRT_2PI)
+                     - 0.5 * math.log(math.pi * chi_hat * bracket))
+        residual = math.copysign(math.ulp(0.0), log_ratio)
+    return residual
+
+
 def solve_threshold_fixed_point(
     alpha: float,
     lam: float,
@@ -587,23 +653,10 @@ def solve_threshold_fixed_point(
     _check_unit_interval("rho_x", rho_x)
     _check_unit_interval("rho_w", rho_w)
 
-    a_of: dict[float, float] = {}  # A at each evaluated chi_hat, in order
+    update, a_of = _counted_map(alpha, lam, rho_x, rho_w, cfg)
 
     def gap(chi_hat: float) -> float:
-        if len(a_of) == cfg.max_iters:
-            message = f"threshold fixed point not converged after {cfg.max_iters} map evaluations"
-        else:
-            try:
-                a_value, g = _threshold_update(alpha, lam, rho_x, rho_w, chi_hat)
-            except _SWEEP_ERRORS:
-                g = math.nan
-            if math.isnan(g):
-                message = f"threshold map is non-finite at chi_hat={chi_hat:.6g}"
-            else:
-                a_of[chi_hat] = a_value
-                return g - chi_hat
-        last_chi_hat, last_a = next(reversed(a_of.items()), (math.nan, math.nan))
-        raise FixedPointError(message, ThresholdState(last_a, last_chi_hat, math.nan, False, len(a_of)))
+        return update(chi_hat)[1] - chi_hat
 
     # G(alpha) <= alpha, so a gap of zero or more at the top is rounding:
     # the root is alpha itself
@@ -622,22 +675,21 @@ def solve_threshold_fixed_point(
         chi_hat = brentq(lambda c: ends[c] if c in ends else gap(c), lo, alpha,
                          xtol=1e-300, rtol=cfg.rel_tol, maxiter=cfg.max_iters)
     a_value = a_of[chi_hat]  # brentq returns a point it evaluated
+    residual = _condition_residual(alpha, lam, rho_x, rho_w, a_value, chi_hat)
+    return ThresholdState(a_value, chi_hat, residual, True, len(a_of))
 
-    # erf form of 1 - 2 Q avoids cancellation for small arguments
-    clean = alpha * (1.0 - rho_w) * math.erf(1.0 / math.sqrt(2.0 * a_value))
-    u = lam / math.sqrt(chi_hat)
-    condition_residual = clean - (2.0 * (1.0 - rho_x) * q_function(u) + rho_x)
-    if clean == 0.0 and rho_x == 0.0 and rho_w < 1.0:
-        # the clean term underflows, or t^2 did, and the support term 2 Q(u)
-        # is zero or subnormal: decide the sign in log form. With erf(t /
-        # sqrt 2) ~ t sqrt(2 / pi) the ratio of the two terms is
-        # alpha (1 - rho_w) / sqrt(pi chi_hat bracket phi(u)); the bracket is
-        # floored at its rounding noise, reached only far past any sign change
-        bracket = max(_mills_terms(u)[1], math.ulp(u))
-        log_ratio = (math.log(alpha * (1.0 - rho_w)) + 0.25 * u * u + 0.5 * math.log(_SQRT_2PI)
-                     - 0.5 * math.log(math.pi * chi_hat * bracket))
-        condition_residual = math.copysign(math.ulp(0.0), log_ratio)
-    return ThresholdState(a_value, chi_hat, condition_residual, True, len(a_of))
+
+def _check_bracket(name: str, lo: float, hi: float, f_lo: float, f_hi: float, rising: bool) -> None:
+    """Raise BracketError unless the residual changes sign on (lo, hi) as rising says.
+
+    rising says the residual must be negative at lo and positive at hi;
+    otherwise the reverse.
+    """
+    if not (f_lo < 0.0 < f_hi if rising else f_lo > 0.0 > f_hi):
+        raise BracketError(
+            "no phase boundary in range: condition residual is "
+            f"{f_lo:.6e} at {name}={lo:g} and {f_hi:.6e} at {name}={hi:g}"
+        )
 
 
 def _boundary_root(
@@ -650,17 +702,13 @@ def _boundary_root(
 ) -> float:
     """Root of the condition residual on (lo, hi) by Brent's method.
 
-    rising says the residual must be negative at lo and positive at hi;
-    otherwise the reverse. The root is pinned to within cfg.bisection_tol / 2.
-    Each end is solved once: Brent's method gets the stored end values.
+    The ends are checked by _check_bracket with rising. The root is pinned
+    to within cfg.bisection_tol / 2. Each end is solved once: Brent's method
+    gets the stored end values.
     """
     f_lo = residual_at(lo)
     f_hi = residual_at(hi)
-    if not (f_lo < 0.0 < f_hi if rising else f_lo > 0.0 > f_hi):
-        raise BracketError(
-            "no phase boundary in range: condition residual is "
-            f"{f_lo:.6e} at {name}={lo:g} and {f_hi:.6e} at {name}={hi:g}"
-        )
+    _check_bracket(name, lo, hi, f_lo, f_hi, rising)
     ends = {lo: f_lo, hi: f_hi}
     return brentq(
         lambda v: ends[v] if v in ends else residual_at(v), lo, hi, xtol=cfg.bisection_tol / 2
@@ -677,7 +725,8 @@ def find_critical_rho_x(
 
     The boundary condition residual is positive on the sparse side and
     negative on the dense side; the root is bracketed on (1e-6, 1 - 1e-6)
-    and pinned by Brent's method to within cfg.bisection_tol / 2.
+    and pinned by Brent's method to within cfg.bisection_tol / 2, each
+    probe a threshold solve.
     """
 
     def residual_at(rho_x: float) -> float:
@@ -695,14 +744,35 @@ def find_critical_alpha(
     """Smallest measurement ratio with perfect reconstruction.
 
     The condition residual is negative at alpha = 1e-4 and must be positive
-    at alpha = 1 for a boundary to exist in the physical range; the root
-    is pinned by Brent's method to within cfg.bisection_tol / 2.
+    at alpha = 1 for a boundary to exist in the physical range; both ends
+    are threshold solves. alpha enters the threshold map only as the factor
+    of G = alpha g(chi_hat), so a fixed point chi_hat belongs to
+    alpha(chi_hat) = chi_hat / g(chi_hat), and the boundary is one Brent
+    root in chi_hat of the condition residual at (alpha(chi_hat), chi_hat),
+    between the two ends' roots, to relative tolerance cfg.rel_tol. It
+    returns alpha at that root. The root's map evaluations count against
+    cfg.max_iters, and an exhausted budget or a non-finite map raises
+    FixedPointError as the threshold solve does.
     """
+    bottom = solve_threshold_fixed_point(1e-4, lam, rho_x, rho_w, cfg)
+    top = solve_threshold_fixed_point(1.0, lam, rho_x, rho_w, cfg)
+    f_lo, f_hi = bottom.condition_residual, top.condition_residual
+    _check_bracket("alpha", 1e-4, 1.0, f_lo, f_hi, rising=True)
+    update, _ = _counted_map(1.0, lam, rho_x, rho_w, cfg)  # G at alpha = 1 is g
+    ends = {bottom.chi_hat: f_lo, top.chi_hat: f_hi}
+    alpha_of = {bottom.chi_hat: 1e-4, top.chi_hat: 1.0}
 
-    def residual_at(alpha: float) -> float:
-        return solve_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg).condition_residual
+    def residual_at(chi_hat: float) -> float:
+        if chi_hat in ends:
+            return ends[chi_hat]
+        a_value, g = update(chi_hat)
+        alpha = alpha_of[chi_hat] = chi_hat / g
+        return _condition_residual(alpha, lam, rho_x, rho_w, a_value, chi_hat)
 
-    return _boundary_root(residual_at, "alpha", 1e-4, 1.0, rising=True, cfg=cfg)
+    # the ends are not evaluated again, so brentq's cap sits one past the budget
+    chi_hat = brentq(residual_at, bottom.chi_hat, top.chi_hat,
+                     xtol=1e-300, rtol=cfg.rel_tol, maxiter=cfg.max_iters + 1)
+    return alpha_of[chi_hat]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,13 @@ import numpy as np
 from scipy import integrate
 
 from .decoder import DecoderConfig, ProblemInstance, decode, estimate_operator_norm
-from .replica import SystemParams, find_critical_rho_x, solve_mse_fixed_point
+from .replica import (
+    SolverConfig,
+    SystemParams,
+    find_critical_alpha,
+    find_critical_rho_x,
+    solve_mse_fixed_point,
+)
 from .special import gauss_pdf, q_function, r_lambda, s_func
 
 __all__ = [
@@ -253,6 +259,15 @@ def check_boundary_regression() -> CheckResult:
     return CheckResult("boundary-regression", ok, f"critical density = {value:.6f}")
 
 
+def check_boundary_round_trip() -> CheckResult:
+    # the alpha boundary, one root in chi_hat, inverts the rho_x boundary,
+    # a root in rho_x with a threshold solve at every probe
+    tight = SolverConfig(bisection_tol=1e-12)
+    rho_c = find_critical_rho_x(0.5, 1.0, 0.1, tight)
+    gap = abs(find_critical_alpha(1.0, rho_c, 0.1, tight) - 0.5)
+    return CheckResult("boundary-round-trip", gap <= 1e-10, f"|alpha_c(rho_c(0.5)) - 0.5| = {gap:.3e}")
+
+
 def check_decoder_known_answer() -> CheckResult:
     # single unknown, two rows: objective |1 - x| + |2 - 2 x| + 0.5 |x|
     # is minimized at x = 1 with value 0.5
@@ -321,6 +336,7 @@ CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_sign_properties,
     check_mse_diagnostics,
     check_boundary_regression,
+    check_boundary_round_trip,
     check_decoder_known_answer,
     check_decoder_identity_matrix,
     check_operator_norm,

@@ -20,7 +20,10 @@ implements, written the plain way, for bitwise comparison.
 
 damped_threshold_fixed_point solves the two-variable threshold system by
 damped forward iteration over (A, chi_hat), a reference for the scalar
-root that solve_threshold_fixed_point finds. runaway_mse_verdict iterates
+root that solve_threshold_fixed_point finds. nested_critical_alpha pins the
+boundary in alpha by a Brent root in alpha with a full threshold solve at
+every probe, a reference for the single root in chi_hat that
+find_critical_alpha takes. runaway_mse_verdict iterates
 the four-variable mse fixed point until it converges or m_hat runs away
 while mse collapses, a phase verdict that never consults the threshold
 system.
@@ -40,9 +43,11 @@ from sparse_lab.decoder import (
 from sparse_lab.experiments import EnsembleSpec, sample_instance
 from sparse_lab.replica import (
     DEFAULT_SOLVER,
+    _boundary_root,
     _interior_moment_pair,
     _mse_start,
     _mse_sweep,
+    solve_threshold_fixed_point,
 )
 from sparse_lab.special import q_function, r_lambda
 
@@ -215,6 +220,20 @@ def damped_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg=DEFAULT_SOLVER, d
             return (*values, sweeps)
     raise RuntimeError(f"damped threshold iteration not converged after {cfg.max_iters} sweeps")
 
+
+
+def nested_critical_alpha(lam, rho_x, rho_w, cfg=DEFAULT_SOLVER):
+    """The boundary in alpha on (1e-4, 1) by Brent's method in alpha.
+
+    Every probe is a threshold solve at that alpha, and the root is pinned
+    to within cfg.bisection_tol / 2. Raises BracketError as
+    find_critical_alpha does when the residual does not rise through zero.
+    """
+
+    def residual_at(alpha):
+        return solve_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg).condition_residual
+
+    return _boundary_root(residual_at, "alpha", 1e-4, 1.0, rising=True, cfg=cfg)
 
 # Divergence verdict on (mse, chi, m_hat, chi_hat): m_hat grows without
 # bound and the error collapses.

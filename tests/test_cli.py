@@ -78,7 +78,7 @@ class TestDefaults:
         "threshold": (["threshold", "--solve-for", "rho-x", "--alpha", "0.5", "--rho-w", "0.1"],
                       {"rel_tol", "max_iters", "bisection_tol"}),
         "mse-curve": ([*CURVE, "--alpha", "0.5"], {"rel_tol", "max_iters"}),
-        "phase-diagram": ([*PHASE, "--lambda-mode", "fixed"],
+        "phase-diagram": ([*PHASE, "--lambda-mode", "both"],
                           {"rel_tol", "max_iters", "bisection_tol", "lambda_min", "lambda_max"}),
         "optimize-lambda": (["optimize-lambda", "--objective", "critical-rho-x", "--alpha", "0.5",
                              "--rho-w", "0.1"],
@@ -115,6 +115,51 @@ class TestDefaults:
     def test_unread_solver_flag_exits_2(self, command, flag, capsys):
         code, _, err = run_cli([*self.SOLVER_FLAGS[command][0], flag, "0.5"], capsys)
         assert code == 2 and "unrecognized arguments" in err
+
+    SOLVER = {"rel_tol", "max_iters"}
+    SEARCH = {*SOLVER, "bisection_tol", "lambda_min", "lambda_max"}
+    GRID = {"grid_start", "grid_stop", "grid_count", "grid_scale"}
+    ENSEMBLE = {"n", "trials", "seed", "workers", "success_tol", "decoder_tol", "decoder_max_iters"}
+    # each command and mode with the settings its run reads, as meta keys
+    META = {
+        "threshold-rho-x": (["threshold", "--solve-for", "rho-x", "--alpha", "0.5", "--rho-w", "0.1"],
+                            {"solve_for", "alpha", "rho_w", "lambda", *SOLVER, "bisection_tol"}),
+        "threshold-alpha": (["threshold", "--solve-for", "alpha", "--rho-x", "0.077", "--rho-w", "0.1"],
+                            {"solve_for", "rho_x", "rho_w", "lambda", *SOLVER}),
+        "mse-curve": ([*CURVE, "--alpha", "0.5"],
+                      {"axis", "alpha", "rho_w", "lambda", "sigma2_x", "sigma2_w", *GRID, *SOLVER,
+                       "with_mc"}),
+        "mse-curve-with-mc": (["mse-curve", "--axis", "alpha", "--rho-x", "0.1", "--rho-w", "0.1",
+                               "--grid-start", "0.5", "--grid-stop", "0.6", "--grid-count", "0",
+                               "--with-mc"],
+                              {"axis", "rho_x", "rho_w", "lambda", "sigma2_x", "sigma2_w", *GRID,
+                               *SOLVER, "with_mc", *ENSEMBLE}),
+        "phase-diagram-fixed": ([*PHASE, "--lambda-mode", "fixed"],
+                                {*GRID, "deltas", "lambda_mode", *SOLVER}),
+        "phase-diagram-both": ([*PHASE, "--lambda-mode", "both"],
+                               {*GRID, "deltas", "lambda_mode", *SEARCH}),
+        "optimize-lambda-critical-rho-x": (
+            ["optimize-lambda", "--objective", "critical-rho-x", "--alpha", "0.5", "--rho-w", "0.1"],
+            {"objective", "alpha", "rho_w", *SEARCH}),
+        "optimize-lambda-critical-alpha": (
+            ["optimize-lambda", "--objective", "critical-alpha", "--rho-x", "0.1", "--rho-w", "0.01"],
+            {"objective", "rho_x", "rho_w", *SEARCH}),
+        "optimize-lambda-mse": (
+            ["optimize-lambda", "--objective", "mse", "--alpha", "0.5", "--rho-x", "0.2", "--rho-w", "0.1"],
+            {"objective", "alpha", "rho_x", "rho_w", "sigma2_x", "sigma2_w", *SEARCH}),
+        "mc": ([*MC, "--alpha", "0.5", "--rho-x", "0.1", "--n", "8", "--trials", "1", "--workers", "1"],
+               {"alpha", "rho_x", "rho_w", "lambda", "sigma2_x", "sigma2_w", *ENSEMBLE}),
+        "selftest": (["selftest"], set()),
+    }
+
+    @pytest.mark.parametrize("case", META)
+    def test_metadata_lists_what_the_run_reads(self, case, capsys):
+        """The meta of each command and mode holds exactly the settings
+        its run reads, beside the command and the version."""
+        argv, read = self.META[case]
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0
+        assert set(json.loads(out)["meta"]) == {"command", "version", *read}
 
     def test_harness_defaults(self):
         parser = cli.build_parser()
@@ -450,10 +495,11 @@ class TestConfigFile:
 
 
 class TestSeedResolution:
+    # the seed is read, and echoed, only when the curve decodes ensembles
     GRID_ARGS = [
         "mse-curve", "--alpha", "0.5", "--rho-w", "0.1",
         "--grid-start", "0.05", "--grid-stop", "0.1", "--grid-count", "0",
-        "--format", "json",
+        "--with-mc", "--format", "json",
     ]
 
     def test_environment_seed(self, capsys, monkeypatch):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from _oracle import damped_threshold_fixed_point, runaway_mse_verdict
-from sparse_lab import replica
+from _oracle import damped_threshold_fixed_point, nested_critical_alpha, runaway_mse_verdict
+from sparse_lab import replica, selftest
+from sparse_lab.experiments import sweep_phase_diagram
 from sparse_lab.replica import (
     BracketError,
     FixedPointError,
@@ -38,6 +39,30 @@ def _threshold_oracle_points():
     points += [(0.5, 1.0, 0.3, 0.0), (0.5, 1.0, 0.3, 1.0), (0.5, 1.0, 1.0, 0.1),
                (1e-3, 1e-3, 1.0, 0.0), (0.9, 1e-3, 0.5, 0.0)]
     return points
+
+
+def _boundary_oracle_cells():
+    """A seeded list of 400 (lam, rho_x, rho_w) cells for the alpha-boundary cross-check.
+
+    100 general cells with lam from 1e-3 to 1e3, 150 with rho_x from 1e-8
+    to 0.3, 50 near the criterion-10 grid, 40 without signal, 40 without
+    noise, and 20 at lam = 1e-3 and 1e3 with rho_x from 1e-8 to 0.1.
+    """
+    rng = np.random.default_rng(19)
+
+    def uniform(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    def log_uniform(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    cells = [(log_uniform(-3, 3), uniform(0, 1), uniform(0, 0.5)) for _ in range(100)]
+    cells += [(log_uniform(-1, 1), log_uniform(-8, -0.5), uniform(0, 0.3)) for _ in range(150)]
+    cells += [(log_uniform(-0.5, 0.5), uniform(0.01, 0.3), uniform(0, 0.1)) for _ in range(50)]
+    cells += [(log_uniform(-3, 3), 0.0, uniform(0, 1)) for _ in range(40)]
+    cells += [(log_uniform(-3, 3), log_uniform(-8, 0), 0.0) for _ in range(40)]
+    cells += [(lam, log_uniform(-8, -1), uniform(0, 0.2)) for lam in (1e-3, 1e3) for _ in range(10)]
+    return cells
 
 
 def _verdict_oracle_points():
@@ -607,6 +632,97 @@ class TestThresholdFixedPoint:
         root = _boundary_root(counting, "t", 1e-4, 1.0, rising, cfg)
         assert len(seen) == len(set(seen))
         assert root == brentq(residual, 1e-4, 1.0, xtol=cfg.bisection_tol / 2)
+
+    def test_critical_alpha_matches_nested_search(self):
+        """On 400 seeded cells the root in chi_hat gives the nested search's
+        verdict, and where a boundary exists the same alpha to 1e-10, both
+        at bisection_tol = 1e-12. The cells include rho_x = 0, rho_x down to
+        1e-8, rho_w = 0 and lam from 1e-3 to 1e3."""
+        tight = SolverConfig(bisection_tol=1e-12)
+        found = []
+        for lam, rho_x, rho_w in _boundary_oracle_cells():
+            cell = f"lam={lam!r} rho_x={rho_x!r} rho_w={rho_w!r}"
+            try:
+                reference = nested_critical_alpha(lam, rho_x, rho_w, tight)
+            except BracketError:
+                with pytest.raises(BracketError, match="no phase boundary"):
+                    find_critical_alpha(lam, rho_x, rho_w, tight)
+                continue
+            alpha_c = find_critical_alpha(lam, rho_x, rho_w, tight)
+            assert abs(alpha_c - reference) <= 1e-10, cell
+            found.append((lam, rho_x, rho_w))
+        # each corner holds boundaries, so the agreement is not vacuous there
+        assert len(found) == 176
+        assert any(rho_w == 0.0 for _, _, rho_w in found)
+        assert any(rho_x < 1e-7 for _, rho_x, _ in found)
+        assert any(lam < 1e-2 for lam, _, _ in found) and any(lam == 1e3 for lam, _, _ in found)
+
+    def test_criterion_10_map_evaluations(self, monkeypatch):
+        """The criterion-10 diagram, both penalty modes, takes at most 6,000
+        threshold map evaluations (12,205 with a threshold solve at every
+        probe of a root in alpha)."""
+        calls = []
+        inner = replica._threshold_update
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(replica, "_threshold_update", counting)
+        sweep_phase_diagram([0.05, 0.1, 0.15, 0.2, 0.25], [0.2, 0.1, 0.02], lambda_mode="both")
+        assert len(calls) <= 6_000
+
+    def test_boundary_root_budget(self):
+        """The root in chi_hat counts its own map evaluations against
+        max_iters: at (1, 0.1, 0.01) the end solves take 5 and 7, the root
+        8, so a budget of 7 runs out inside the root and 8 does not."""
+        cell = (1.0, 0.1, 0.01)
+        assert [solve_threshold_fixed_point(a, *cell).iterations for a in (1e-4, 1.0)] == [5, 7]
+        with pytest.raises(FixedPointError) as info:
+            find_critical_alpha(*cell, SolverConfig(max_iters=7))
+        assert "threshold fixed point not converged after 7 map evaluations" in str(info.value)
+        assert info.value.state.iterations == 7
+        assert math.isnan(info.value.state.condition_residual)
+        assert find_critical_alpha(*cell, SolverConfig(max_iters=8)) == find_critical_alpha(*cell)
+
+    def test_boundary_root_non_finite_map(self, monkeypatch):
+        """A non-finite map inside the root in chi_hat, with both end solves
+        finite, raises FixedPointError with the threshold solve's message, and
+        the penalty search reports it as a failed probe."""
+        inside = []
+        solve = replica.solve_threshold_fixed_point
+        update = replica._threshold_update
+
+        def end_solve(*args, **kw):
+            inside.append(True)
+            try:
+                return solve(*args, **kw)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(replica, "solve_threshold_fixed_point", end_solve)
+        monkeypatch.setattr(replica, "_threshold_update",
+                            lambda *args: update(*args) if inside else (math.inf, math.nan))
+        with pytest.raises(FixedPointError) as info:
+            find_critical_alpha(1.0, 0.1, 0.01)
+        assert str(info.value).startswith("threshold map is non-finite at chi_hat=")
+        assert info.value.state.iterations == 0
+        with pytest.raises(ObjectiveProbeError) as info:
+            optimize_lambda("critical-alpha", rho_x=0.15, rho_w=0.015)
+        assert str(info.value).startswith("threshold solve failed at probe lam=0.195793: threshold map")
+        assert isinstance(info.value.__cause__, FixedPointError)
+
+    def test_boundary_round_trip(self):
+        """The selftest check: the alpha boundary at the critical density of
+        alpha = 0.5 is 0.5 again, to 1e-10; an alpha off by 1e-9 fails it."""
+        assert selftest.check_boundary_round_trip in selftest.CHECKS
+        result = selftest.check_boundary_round_trip()
+        assert result.name == "boundary-round-trip" and result.passed, result.detail
+
+    def test_boundary_round_trip_detects_an_offset(self, monkeypatch):
+        inner = selftest.find_critical_alpha
+        monkeypatch.setattr(selftest, "find_critical_alpha", lambda *args: inner(*args) + 1e-9)
+        assert not selftest.check_boundary_round_trip().passed
 
     def test_bracket_error(self):
         """A penalty too weak to ever reconstruct leaves no sign change."""
