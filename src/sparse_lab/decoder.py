@@ -7,17 +7,18 @@ Solves
 routed by a short damped max-sum GAMP prefix (Rangan, ISIT 2011). Inside
 the perfect-recovery phase GAMP's tau_r collapses, and the Chambolle-Pock
 first-order scheme runs warm-started from GAMP's point with a dual step
-_PRIMAL_WEIGHT times its primal step, finished by one full HiGHS vertex
-after _LP_HANDOFF uncertified sweeps. Outside it GAMP's point screens
-the rows and columns of a reduced linear program (as Gap Safe screening
-and working-set solvers do), solved exactly by HiGHS, then
-once on the full program if that vertex fails. Both objective terms are
-polyhedral, so exact optimality can be certified: a subgradient vector is
-assembled from a dual vector and its stationarity violation, always on
-the full problem, is measured in the max norm. The decoder only reports
-success when that certificate passes together with small primal-dual
-residuals, whichever of the iteration or a linear program produced the
-point.
+_PRIMAL_WEIGHT times its primal step. At every failed check a pair solved
+on the iterate's active set is offered, and one full HiGHS vertex
+finishes a run still uncertified after _LP_HANDOFF sweeps. Outside it
+GAMP's point screens the rows and columns of a reduced linear program (as
+Gap Safe screening and working-set solvers do), solved exactly by HiGHS,
+then once on the full program if that vertex fails. Both objective terms
+are polyhedral, so exact optimality can be certified: a subgradient
+vector is assembled from a dual vector and its stationarity violation,
+always on the full problem, is measured in the max norm. The decoder only
+reports success when that certificate passes together with small
+primal-dual residuals, whichever of the iteration, the polish or a linear
+program produced the point.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ _GAMP_ITERS = 100
 _COLLAPSE = 1e-2
 
 # A perfect-phase run still uncertified after this many sweeps is finished by
-# one full LP solve: there the iteration usually certifies in a few hundred.
-# It stays for late GAMP collapses outside the phase: one n = 256 trial at
-# rho_x 0.11 needs 182,250 sweeps (about 5 s) where the handoff takes 80 ms.
+# one full LP solve: there the polish usually certifies at the first check.
+# It stays for late GAMP collapses outside the phase, which the polish does
+# not certify: one n = 256 trial at rho_x 0.11 needs 182,250 sweeps (about
+# 5 s) where the handoff takes 80 ms.
 _LP_HANDOFF = 500
 
 # The reduced LP keeps the columns with |A^T s|_j >= (1 - _SCREEN_MARGIN) lam
@@ -158,11 +160,13 @@ DEFAULT_DECODER = DecoderConfig()
 class DecodeResult:
     """Decoder output.
 
-    x_hat is the certified point when converged is True, either an iterate
-    or an LP vertex, otherwise the best-objective iterate encountered.
-    finish names what produced x_hat: "iteration", "reduced-lp" (the LP
-    reduced to the rows and columns GAMP screens) or "lp" (the full LP).
-    iterations counts GAMP iterations plus primal-dual sweeps.
+    x_hat is the certified point when converged is True, either an iterate,
+    a polished pair or an LP vertex, otherwise the best-objective iterate
+    encountered. finish names what produced x_hat: "iteration", "polish"
+    (least squares on the active set of an iterate, see _polish),
+    "reduced-lp" (the LP reduced to the rows and columns GAMP screens) or
+    "lp" (the full LP). iterations counts GAMP iterations plus primal-dual
+    sweeps.
     """
 
     x_hat: np.ndarray
@@ -369,6 +373,37 @@ def _reduced_program(
     return columns, rows, u
 
 
+def _polish(
+    a: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray, xi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Primal-dual pair solved on the active set of the iterate (x, xi), or None.
+
+    The support is the nonzeros of x and the free rows those with
+    |xi_i| < 1. The polished values are the least-squares solution on
+    A[free, support] against y[free], zero off the support. The dual
+    u = -xi keeps its saturated entries on every other row, and a
+    minimum-norm correction on the free rows makes A^T u = lam sign(x) on
+    the support, at the polished x. Those entries are not reset to the
+    sign of the polished residual: on a row whose residual is rounding
+    noise that sign is arbitrary, while the certificate reads -xi there.
+    Returns None when the free rows are fewer than the support or the
+    support is empty. This is the solution polishing of OSQP (Stellato et
+    al., Math. Prog. Comp. 2020); the caller keeps the pair only if it
+    certifies the full problem.
+    """
+    support = np.flatnonzero(x)
+    free = np.abs(xi) < 1.0
+    if not support.size or np.count_nonzero(free) < support.size:
+        return None
+    sub = a[free][:, support]
+    polished = np.zeros_like(x)
+    polished[support] = np.linalg.lstsq(sub, y[free], rcond=None)[0]
+    u = -xi
+    mismatch = lam * np.sign(polished[support]) - a[:, support].T @ u
+    u[free] += np.linalg.lstsq(sub.T, mismatch, rcond=None)[0]
+    return polished, -u
+
+
 def decode(
     instance: ProblemInstance,
     lam: float,
@@ -388,8 +423,14 @@ def decode(
       computed only when sweeps run) and extrapolation weight 1; a sweep
       is two matrix-vector products, a soft threshold at tau lam and a
       dual update done in place, and its iterates are bitwise those of
-      the textbook loop. A run still uncertified after _LP_HANDOFF
-      sweeps is finished by one full-program HiGHS vertex.
+      the textbook loop. At every check the iterate fails, the pair that
+      _polish solves on its active set is offered; inside the phase the
+      optimum is x0 and the first check usually ends the run there. A run
+      still uncertified after _LP_HANDOFF sweeps is finished by one
+      full-program HiGHS vertex. Unlike the primal-only polish removed in
+      6cf082c, which picked its rows by a residual threshold and ran from
+      x = 0, this one corrects the dual as well, needs no threshold and
+      starts from GAMP's warm point.
     - Otherwise, after the whole prefix, the LP reduced at GAMP's (x, s)
       is solved (see _reduced_program), then, if its vertex is not
       adopted, the full program once; if neither is adopted the
@@ -400,11 +441,11 @@ def decode(
     residual is the worst complementary-slackness violation scaled by
     1 + ||y||_inf; a point counts as converged only when both fall below
     their tolerances. The iteration is checked every _CHECK_EVERY sweeps.
-    An LP vertex (with its equality duals) is adopted only if it does not
-    worsen the best objective seen and passes both tests itself: a
-    restricted primal with a dual that certifies the full problem is
-    optimal by LP duality. iterations counts GAMP iterations plus sweeps,
-    and max_iters bounds that sum; a budget that ends inside the prefix
+    A polished pair or an LP vertex (with its equality duals) is adopted
+    only if it does not worsen the best objective seen and passes both
+    tests itself: a restricted primal with a dual that certifies the full
+    problem is optimal by LP duality. iterations counts GAMP iterations
+    plus sweeps, and max_iters bounds that sum; a budget that ends inside the prefix
     ends the run there. Exhausting max_iters returns the best-objective
     iterate seen (from x = 0) with converged=False rather than raising.
     """
@@ -429,7 +470,7 @@ def decode(
         return obj, cert / cert_scale, _complementarity_gap(residual, xi) / y_scale
 
     def certified(vertex: tuple[np.ndarray, np.ndarray] | None):
-        """(x, objective, residuals) of an LP vertex that may be adopted, else None."""
+        """(x, objective, residuals) of a vertex or polished pair that may be adopted, else None."""
         if vertex is None:
             return None
         obj, primal_res, dual_res = score(*vertex)
@@ -477,6 +518,10 @@ def decode(
                     best_x = x_new.copy()
                 if primal_res <= cfg.primal_tol and dual_res <= cfg.dual_tol:
                     done = (x_new, obj, primal_res, dual_res)
+                    break
+                done = certified(_polish(a, y, lam, x_new, xi_new))
+                if done is not None:
+                    finish = "polish"
                     break
 
             if collapsed and sweep == _LP_HANDOFF:

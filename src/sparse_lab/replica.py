@@ -741,11 +741,16 @@ def find_critical_alpha(
     rho_w: float,
     cfg: SolverConfig = DEFAULT_SOLVER,
 ) -> float:
-    """Smallest measurement ratio with perfect reconstruction.
+    """Measurement ratio where the condition residual turns positive.
 
     The condition residual is negative at alpha = 1e-4 and must be positive
     at alpha = 1 for a boundary to exist in the physical range; both ends
-    are threshold solves. alpha enters the threshold map only as the factor
+    are threshold solves. Where the residual crosses zero once on that
+    range, the root is the smallest measurement ratio with perfect
+    reconstruction. It can cross more than once, at small rho_x and lam
+    of about 0.1 to 0.5: a residual negative at both ends but positive
+    between them raises BracketError, and with three crossings the root
+    returned is one of them, not necessarily the smallest. alpha enters the threshold map only as the factor
     of G = alpha g(chi_hat), so a fixed point chi_hat belongs to
     alpha(chi_hat) = chi_hat / g(chi_hat), and the boundary is one Brent
     root in chi_hat of the condition residual at (alpha(chi_hat), chi_hat),

@@ -27,10 +27,10 @@ def _crawling_instance():
     return ProblemInstance(A=a, y=a @ x0 + np.where(rng.random(24) < 0.1, 1.0, 0.0))
 
 
-def _ensemble_instance(rho_x, trial_index):
-    """Trial of an n = 128 ensemble at alpha 0.5, lam 1, rho_w 0.1, seed 12345."""
+def _ensemble_instance(rho_x, trial_index, n=128):
+    """Trial of an ensemble at alpha 0.5, lam 1, rho_w 0.1, seed 12345."""
     params = SystemParams(alpha=0.5, lam=1.0, rho_x=rho_x, rho_w=0.1)
-    spec = EnsembleSpec(n=128, params=params, trials=trial_index + 1, base_seed=12345)
+    spec = EnsembleSpec(n=n, params=params, trials=trial_index + 1, base_seed=12345)
     return sample_instance(spec, trial_index)
 
 
@@ -48,6 +48,11 @@ def _recording_linprog(monkeypatch, corrupt_first=False):
 
     monkeypatch.setattr(decoder, "linprog", recording)
     return shapes
+
+
+def _without_polish(monkeypatch):
+    """Make every polish attempt fail, so a run ends as it would without one."""
+    monkeypatch.setattr(decoder, "_polish", lambda *args: None)
 
 
 class TestOperatorNorm:
@@ -189,10 +194,11 @@ class TestLpReference:
             np.testing.assert_allclose(value, grid_objective(a, y, lam), atol=1e-5)
 
     def test_matches_certified_decode(self, monkeypatch):
-        """The pure primal-dual iteration, with every LP solve failing."""
+        """The pure primal-dual iteration, with every LP solve and polish failing."""
         instance = _crawling_instance()
         cfg = DecoderConfig(primal_tol=1e-9, dual_tol=1e-9)
         monkeypatch.setattr(decoder, "linprog", lambda *args, **kwargs: SimpleNamespace(status=4))
+        _without_polish(monkeypatch)
         result = decode(instance, 1.0, cfg)
         assert result.converged
         assert result.finish == "iteration"
@@ -229,6 +235,7 @@ class TestExactFinish:
             return SimpleNamespace(status=4, message="numerical difficulties")
 
         monkeypatch.setattr(decoder, "linprog", failing_linprog)
+        _without_polish(monkeypatch)
         result = decode(_crawling_instance(), 1.0, DecoderConfig(max_iters=600))
         # GAMP routes the run to the LP: the reduced solve, then the full one,
         # then the iteration for the rest of the budget
@@ -274,6 +281,7 @@ class TestExactFinish:
         _, _, prefix, collapsed = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
         assert collapsed
         shapes = _recording_linprog(monkeypatch)
+        _without_polish(monkeypatch)
         result = decode(instance, 1.0)
         assert result.converged
         assert result.finish == "lp"
@@ -301,6 +309,7 @@ class TestExactFinish:
         """Cold sweeps reach the handoff uncertified here; from GAMP's point they certify."""
         instance = _ensemble_instance(0.02, 12)
         shapes = _recording_linprog(monkeypatch)
+        _without_polish(monkeypatch)
         cfg = DecoderConfig()
         result = decode(instance, 1.0, cfg)
         assert result.converged
@@ -309,6 +318,66 @@ class TestExactFinish:
         assert result.primal_residual <= cfg.primal_tol
         assert result.dual_residual <= cfg.dual_tol
         np.testing.assert_allclose(result.x_hat, instance.x0, atol=1e-8)
+
+
+class TestPolish:
+    """The pair polished on the iterate's active set at each failed check."""
+
+    # n = 256, trial 1 has 9 saturated dual rows whose polished residual is
+    # rounding noise: resetting them to its sign fails the first check there
+    @pytest.mark.parametrize("n, trial_index", [(128, 12), (256, 1)])
+    def test_in_phase_run_finishes_by_polish_at_the_first_check(
+        self, monkeypatch, n, trial_index
+    ):
+        instance = _ensemble_instance(0.02, trial_index, n)
+        _, _, prefix, collapsed = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
+        assert collapsed
+        shapes = _recording_linprog(monkeypatch)
+        cfg = DecoderConfig()
+        result = decode(instance, 1.0, cfg)
+        assert result.converged
+        assert result.finish == "polish"
+        assert result.iterations == prefix + decoder._CHECK_EVERY
+        assert shapes == []
+        assert result.primal_residual <= cfg.primal_tol
+        assert result.dual_residual <= cfg.dual_tol
+        np.testing.assert_allclose(result.x_hat, instance.x0, rtol=0.0, atol=1e-12)
+        x = lp_decode(instance.A, instance.y, 1.0)
+        np.testing.assert_allclose(
+            result.objective, evaluate_objective(instance, x, 1.0), rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("perturbed", ["primal", "dual"])
+    def test_perturbed_pair_is_never_adopted(self, monkeypatch, perturbed):
+        """A pair a millionth off is offered at every failed check, never adopted."""
+        instance = _ensemble_instance(0.02, 12)
+        _, _, prefix, _ = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
+        real_polish = decoder._polish
+        _without_polish(monkeypatch)
+        expected = decode(instance, 1.0)
+        assert expected.converged and expected.finish == "iteration"
+
+        offered = []
+        rng = np.random.default_rng(3)
+
+        def perturbed_polish(a, y, lam, x, xi):
+            x, xi = real_polish(a, y, lam, x, xi)
+            if perturbed == "primal":
+                x[x != 0.0] += 1e-6
+            else:
+                free = np.abs(xi) < 1.0
+                xi[free] += 1e-6 * rng.uniform(-1.0, 1.0, np.count_nonzero(free))
+            offered.append(1)
+            return x, xi
+
+        monkeypatch.setattr(decoder, "_polish", perturbed_polish)
+        result = decode(instance, 1.0)
+        # one offer at every check before the one that certifies
+        assert len(offered) == (expected.iterations - prefix) // decoder._CHECK_EVERY - 1 > 0
+        assert result.finish == expected.finish
+        assert result.iterations == expected.iterations
+        assert result.objective == expected.objective
+        assert np.array_equal(result.x_hat, expected.x_hat)
 
 
 class TestBehavior:
@@ -331,10 +400,11 @@ class TestBehavior:
         assert result.iterations == 3
         assert result.objective <= np.sum(np.abs(y)) + 1e-12
 
-    def test_sweep_is_bitwise_the_textbook_loop(self):
+    def test_sweep_is_bitwise_the_textbook_loop(self, monkeypatch):
         instance = _ensemble_instance(0.05, 0)
         x, s, prefix, collapsed = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
         assert collapsed  # the sweeps start warm from GAMP's point
+        _without_polish(monkeypatch)
         sweeps = decoder._CHECK_EVERY - 13  # one check, at the last sweep
         result = decode(instance, 1.0, DecoderConfig(max_iters=prefix + sweeps))
         expected = chambolle_pock(instance.A, instance.y, 1.0, sweeps, x, -s)

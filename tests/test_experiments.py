@@ -160,13 +160,15 @@ class TestRunTrial:
 
 class TestRunMonteCarlo:
     def test_worker_count_does_not_change_results(self):
-        # the second ensemble sits outside the perfect phase, where every
-        # trial is finished by an exact LP vertex; at rho_x 0.11 GAMP's
-        # tau_r collapses late on trial 0 and the iteration certifies it
+        # the second ensemble sits outside the perfect phase at rho_x 0.15,
+        # where every trial is finished by an exact LP vertex; the third sits
+        # deep inside it, where every trial is finished by the polished pair
         lp_spec = _spec(n=128, rho_x=0.15, trials=4)
-        finished = [decode(sample_instance(lp_spec, i), 1.0) for i in range(lp_spec.trials)]
-        assert all(r.converged and r.finish != "iteration" for r in finished)
-        for spec in (_spec(trials=4), lp_spec):
+        polish_spec = _spec(n=128, rho_x=0.02, trials=4)
+        for spec, finishes in ((lp_spec, {"reduced-lp", "lp"}), (polish_spec, {"polish"})):
+            finished = [decode(sample_instance(spec, i), 1.0) for i in range(spec.trials)]
+            assert all(r.converged and r.finish in finishes for r in finished)
+        for spec in (_spec(trials=4), lp_spec, polish_spec):
             serial = run_monte_carlo(spec, workers=1)
             parallel = run_monte_carlo(spec, workers=2)
             assert serial == parallel
