@@ -7,18 +7,18 @@ Solves
 routed by a short damped max-sum GAMP prefix (Rangan, ISIT 2011). Inside
 the perfect-recovery phase GAMP's tau_r collapses, and the Chambolle-Pock
 first-order scheme runs warm-started from GAMP's point with a dual step
-_PRIMAL_WEIGHT times its primal step. At every failed check a pair solved
-on the iterate's active set is offered, and one full HiGHS vertex
-finishes a run still uncertified after _LP_HANDOFF sweeps. Outside it
-GAMP's point screens the rows and columns of a reduced linear program (as
-Gap Safe screening and working-set solvers do), solved exactly by HiGHS,
-then once on the full program if that vertex fails. Both objective terms
-are polyhedral, so exact optimality can be certified: a subgradient
-vector is assembled from a dual vector and its stationarity violation,
-always on the full problem, is measured in the max norm. The decoder only
-reports success when that certificate passes together with small
-primal-dual residuals, whichever of the iteration, the polish or a linear
-program produced the point.
+_PRIMAL_WEIGHT times its primal step; at every failed check a pair solved
+on the iterate's active set is offered. Outside it the iteration starts
+only if a linear program fails first. There is one linear program: its
+rows and columns are screened at a primal-dual point (as Gap Safe
+screening and working-set solvers do) and it is solved exactly by HiGHS,
+at GAMP's point outside the phase and at the iterate after _LP_HANDOFF
+sweeps on every route. Both objective terms are polyhedral, so exact
+optimality can be certified: a subgradient vector is assembled from a
+dual vector and its stationarity violation, always on the full problem,
+is measured in the max norm. The decoder only reports success when that
+certificate passes together with small primal-dual residuals, whichever
+of the iteration, the polish or the linear program produced the point.
 """
 
 from __future__ import annotations
@@ -54,20 +54,20 @@ _GAMP_ITERS = 100
 # perfect-recovery phase; outside it tau_r stays near its start.
 _COLLAPSE = 1e-2
 
-# A perfect-phase run still uncertified after this many sweeps is finished by
-# one full LP solve: there the polish usually certifies at the first check.
-# It stays for late GAMP collapses outside the phase, which the polish does
-# not certify: one n = 256 trial at rho_x 0.11 needs 182,250 sweeps (about
-# 5 s) where the handoff takes 80 ms.
+# A run still uncertified after this many sweeps solves the LP screened at
+# its iterate, once. Inside the phase the polish usually certifies at the
+# first check; the handoff serves late GAMP collapses just outside it and
+# runs whose LP at GAMP's point was rejected. One n = 256 trial at rho_x 0.11
+# needs 182,250 sweeps (about 5 s); with the handoff it decodes in about 40 ms.
 _LP_HANDOFF = 500
 
-# The reduced LP keeps the columns with |A^T s|_j >= (1 - _SCREEN_MARGIN) lam
-# or x_j != 0 at the GAMP iterate.
+# The screened LP keeps the columns with |A^T s|_j >= (1 - _SCREEN_MARGIN)
+# lam or x_j != 0 at the screening point.
 _SCREEN_MARGIN = 0.2
 
-# The reduced LP keeps this many rows per unsaturated GAMP dual row, adding
+# The screened LP keeps this many rows per unsaturated dual row, adding
 # those with the smallest residuals: a vertex needs a zero-residual row per
-# nonzero, and GAMP's free rows miss a few of them.
+# nonzero, and the free rows of the screening point miss a few of them.
 _ROW_WIDEN = 1.5
 
 # Sweeps between certificate checks.
@@ -163,10 +163,10 @@ class DecodeResult:
     x_hat is the certified point when converged is True, either an iterate,
     a polished pair or an LP vertex, otherwise the best-objective iterate
     encountered. finish names what produced x_hat: "iteration", "polish"
-    (least squares on the active set of an iterate, see _polish),
-    "reduced-lp" (the LP reduced to the rows and columns GAMP screens) or
-    "lp" (the full LP). iterations counts GAMP iterations plus primal-dual
-    sweeps.
+    (least squares on the active set of an iterate, see _polish) or
+    "reduced-lp" (the LP screened at GAMP's point or at the handoff
+    iterate, see _screened_lp). iterations counts GAMP iterations plus
+    primal-dual sweeps.
     """
 
     x_hat: np.ndarray
@@ -310,29 +310,33 @@ def _gamp(
     return shrunk, s, iters, False
 
 
-def _lp_vertex(
-    a: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    columns: np.ndarray | slice = slice(None),
-    rows: np.ndarray | slice = slice(None),
-    u: np.ndarray | None = None,
+def _screened_lp(
+    a: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Exact minimizer and dual iterate from one HiGHS solve, or None.
+    """Exact minimizer and dual iterate of the LP screened at (x, s), or None.
 
-    Splits x = x+ - x- and the residual y - A x = r+ - r- into nonnegative
-    parts, so the problem reads min lam 1'(x+ + x-) + 1'(r+ + r-) subject
-    to [A, -A, I, -I] (x+, x-, r+, r-) = y. The equality duals u are the
-    subgradient of ||y - A x||_1, so the decoder's dual iterate is -u.
-    Only the given columns and rows of A enter the program. Every other
-    row i is held at the subgradient u_i (u is zero on the kept rows) and
-    enters as the linear cost u_i (y_i - a_i x); the other columns stay
-    zero in the returned point, which is embedded back into R^n. Returns
-    None unless HiGHS reports an optimal solution.
+    Keeps the columns with x_j != 0 or |A^T s|_j >= (1 - _SCREEN_MARGIN)
+    lam, and the rows with |s_i| < 1 widened to _ROW_WIDEN times their
+    count by the smallest |y - A x|. Every other row i is held at the
+    subgradient u_i = sign(y_i - a_i x) and enters as the linear cost
+    u_i (y_i - a_i x); the other columns stay zero. On the kept part, x and
+    the residual y - A x = r+ - r- are split into nonnegative parts, so one
+    HiGHS call solves min (lam - A^T u)'x+ + (lam + A^T u)'x- + 1'(r+ + r-)
+    subject to [A, -A, I, -I] (x+, x-, r+, r-) = y. Its equality duals are
+    the subgradient of ||y - A x||_1 on the kept rows, so the returned dual
+    iterate is their negation there and -u elsewhere. Returns None unless
+    HiGHS reports an optimal solution.
     """
+    residual = y - a @ x
+    columns = np.flatnonzero((x != 0.0) | (np.abs(a.T @ s) >= (1.0 - _SCREEN_MARGIN) * lam))
+    free = np.abs(s) < 1.0
+    keep = min(len(y), max(1, math.ceil(_ROW_WIDEN * np.count_nonzero(free))))
+    rows = np.sort(np.argsort(np.where(free, -1.0, np.abs(residual)), kind="stable")[:keep])
+    u = np.sign(residual)
+    u[rows] = 0.0
     sub = a[rows][:, columns]
     m, k = sub.shape
-    pull = np.zeros(k) if u is None else (a.T @ u)[columns]
+    pull = (a.T @ u)[columns]
     eye = np.eye(m)
     # presolve removes nothing from these dense programs and costs about a
     # third of the solve time
@@ -348,29 +352,9 @@ def _lp_vertex(
         return None
     x = np.zeros(a.shape[1])
     x[columns] = res.x[:k] - res.x[k : 2 * k]
-    xi = np.zeros(len(y)) if u is None else -u
+    xi = -u
     xi[rows] = -res.eqlin.marginals
     return x, xi
-
-
-def _reduced_program(
-    a: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns, rows and fixed row subgradients of the LP reduced at (x, s).
-
-    Keeps the columns with x_j != 0 or |A^T s|_j >= (1 - _SCREEN_MARGIN)
-    lam, and the rows with |s_i| < 1 widened to _ROW_WIDEN times their
-    count by the smallest |y - A x|; every other row is fixed at
-    u_i = sign(y_i - a_i x).
-    """
-    residual = y - a @ x
-    columns = np.flatnonzero((x != 0.0) | (np.abs(a.T @ s) >= (1.0 - _SCREEN_MARGIN) * lam))
-    free = np.abs(s) < 1.0
-    keep = min(len(y), max(1, math.ceil(_ROW_WIDEN * np.count_nonzero(free))))
-    rows = np.sort(np.argsort(np.where(free, -1.0, np.abs(residual)), kind="stable")[:keep])
-    u = np.sign(residual)
-    u[rows] = 0.0
-    return columns, rows, u
 
 
 def _polish(
@@ -425,16 +409,14 @@ def decode(
       dual update done in place, and its iterates are bitwise those of
       the textbook loop. At every check the iterate fails, the pair that
       _polish solves on its active set is offered; inside the phase the
-      optimum is x0 and the first check usually ends the run there. A run
-      still uncertified after _LP_HANDOFF sweeps is finished by one
-      full-program HiGHS vertex. Unlike the primal-only polish removed in
-      6cf082c, which picked its rows by a residual threshold and ran from
-      x = 0, this one corrects the dual as well, needs no threshold and
-      starts from GAMP's warm point.
-    - Otherwise, after the whole prefix, the LP reduced at GAMP's (x, s)
-      is solved (see _reduced_program), then, if its vertex is not
-      adopted, the full program once; if neither is adopted the
-      iteration runs from GAMP's point as above, with no further LP.
+      optimum is x0 and the first check usually ends the run there.
+    - Otherwise, after the whole prefix, the LP screened at GAMP's (x, s)
+      is solved (see _screened_lp); if its vertex is not adopted the
+      iteration runs from GAMP's point as above.
+
+    On either route a run still uncertified after _LP_HANDOFF sweeps
+    solves the LP screened at the iterate (x, -xi), once; if that vertex
+    is not adopted either, the iteration and the polish go on.
 
     Every point is scored on the full problem. The primal residual is the
     subgradient certificate scaled by 1 + ||A^T sign(y)||_inf and the dual
@@ -445,9 +427,10 @@ def decode(
     only if it does not worsen the best objective seen and passes both
     tests itself: a restricted primal with a dual that certifies the full
     problem is optimal by LP duality. iterations counts GAMP iterations
-    plus sweeps, and max_iters bounds that sum; a budget that ends inside the prefix
-    ends the run there. Exhausting max_iters returns the best-objective
-    iterate seen (from x = 0) with converged=False rather than raising.
+    plus sweeps, and max_iters bounds that sum; a budget that ends inside
+    the prefix ends the run there. Exhausting max_iters returns the
+    best-objective iterate seen (from x = 0) with converged=False rather
+    than raising.
     """
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam!r}")
@@ -486,11 +469,9 @@ def decode(
     done = None
     finish = "iteration"
     if not collapsed and prefix == _GAMP_ITERS:
-        for path, program in (("reduced-lp", _reduced_program(a, y, lam, x, s)), ("lp", ())):
-            done = certified(_lp_vertex(a, y, lam, *program))
-            if done is not None:
-                finish = path
-                break
+        done = certified(_screened_lp(a, y, lam, x, s))
+        if done is not None:
+            finish = "reduced-lp"
 
     iterations = prefix
     if done is None and prefix < cfg.max_iters:
@@ -524,10 +505,10 @@ def decode(
                     finish = "polish"
                     break
 
-            if collapsed and sweep == _LP_HANDOFF:
-                done = certified(_lp_vertex(a, y, lam))
+            if sweep == _LP_HANDOFF:
+                done = certified(_screened_lp(a, y, lam, x_new, -xi_new))
                 if done is not None:
-                    finish = "lp"
+                    finish = "reduced-lp"
                     break
 
             x = x_new

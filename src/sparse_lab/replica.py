@@ -750,8 +750,10 @@ def find_critical_alpha(
     reconstruction. It can cross more than once, at small rho_x and lam
     of about 0.1 to 0.5: a residual negative at both ends but positive
     between them raises BracketError, and with three crossings the root
-    returned is one of them, not necessarily the smallest. alpha enters the threshold map only as the factor
-    of G = alpha g(chi_hat), so a fixed point chi_hat belongs to
+    returned is one of them, not necessarily the smallest.
+
+    alpha enters the threshold map only as the factor of
+    G = alpha g(chi_hat), so a fixed point chi_hat belongs to
     alpha(chi_hat) = chi_hat / g(chi_hat), and the boundary is one Brent
     root in chi_hat of the condition residual at (alpha(chi_hat), chi_hat),
     between the two ends' roots, to relative tolerance cfg.rel_tol. It

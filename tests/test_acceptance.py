@@ -229,18 +229,18 @@ def test_criterion_07_finite_size_error_agreement(capsys):
     are decoded by the exact LP reference; the n = 256 one keeps seed
     12345, so its first 50 trials are the program's instances, and the
     program's mean must match the reference mean on them. The program
-    finishes these decodes with its own HiGHS vertex, of the program
-    reduced at a 100-iteration GAMP point or of the full program, so that
-    gap now guards the LP wiring (the formulation, the row reduction, the
-    sign of the duals, the adoption rule); the certificate every decode
-    must pass stays the independent check. The other N use
-    their own seeds, so the per-N means are independent. At n = 256 the
-    decoded error is 10-40% above the prediction and the excess shrinks
-    like 1/N, so the 15% tolerance applies to the extrapolated error, and
-    its standard error must stay at or below 5% so that a 15% miss is at
-    least three of them. n = 64 is left out: near the boundary the excess
-    there lies below the 1/N line, and a fit through it lands about 10%
-    high at rho_x = 0.11.
+    finishes these decodes with its own HiGHS vertex of the program
+    screened at a 100-iteration GAMP point or at the 500-sweep iterate, or
+    by the polish, so that gap now guards the LP wiring (the formulation,
+    the row reduction, the sign of the duals, the adoption rule); the
+    certificate every decode must pass stays the independent check. The
+    other N use their own seeds, so the per-N means are independent. At
+    n = 256 the decoded error is 10-40% above the prediction and the excess
+    shrinks like 1/N, so the 15% tolerance applies to the extrapolated
+    error, and its standard error must stay at or below 5% so that a 15%
+    miss is at least three of them. n = 64 is left out: near the boundary
+    the excess there lies below the 1/N line, and a fit through it lands
+    about 10% high at rho_x = 0.11.
     """
     budget = 1200.0
     decoder_cfg = DecoderConfig(primal_tol=1e-7, dual_tol=1e-7, max_iters=300_000)

@@ -211,8 +211,9 @@ class TestLpReference:
 
 
 class TestExactFinish:
-    """HiGHS finishes: the reduced then the full LP outside the perfect phase,
-    the full LP after _LP_HANDOFF uncertified sweeps inside it."""
+    """HiGHS finishes: the LP screened at GAMP's point outside the perfect
+    phase, and the LP screened at the iterate after _LP_HANDOFF uncertified
+    sweeps on every route; the full program is never solved."""
 
     def test_crawling_run_takes_the_lp_vertex(self):
         instance = _crawling_instance()
@@ -237,8 +238,8 @@ class TestExactFinish:
         monkeypatch.setattr(decoder, "linprog", failing_linprog)
         _without_polish(monkeypatch)
         result = decode(_crawling_instance(), 1.0, DecoderConfig(max_iters=600))
-        # GAMP routes the run to the LP: the reduced solve, then the full one,
-        # then the iteration for the rest of the budget
+        # GAMP routes the run to the LP: the solve screened at GAMP's point,
+        # then the iteration, with the solve screened at the handoff iterate
         assert len(calls) == 2
         assert result.converged is False
         assert result.finish == "iteration"
@@ -260,23 +261,23 @@ class TestExactFinish:
             result.objective, evaluate_objective(instance, x, 1.0), rtol=1e-9
         )
 
-    def test_uncertified_reduced_vertex_falls_back_to_full_lp(self, monkeypatch):
+    def test_uncertified_screened_vertex_never_solves_the_full_lp(self, monkeypatch):
+        """A rejected vertex at GAMP's point leaves the run to the iteration."""
         instance = _ensemble_instance(0.11, 1)
         shapes = _recording_linprog(monkeypatch, corrupt_first=True)
         cfg = DecoderConfig()
         result = decode(instance, 1.0, cfg)
         assert result.converged
-        assert result.finish == "lp"
-        assert result.iterations == decoder._GAMP_ITERS
+        assert result.iterations > decoder._GAMP_ITERS
         m, n = instance.A.shape
-        assert len(shapes) == 2
+        assert (m, 2 * n + 2 * m) not in shapes
         assert shapes[0][0] < m and shapes[0][1] < 2 * n + 2 * m
-        assert shapes[1] == (m, 2 * n + 2 * m)
         assert result.primal_residual <= cfg.primal_tol
         assert result.dual_residual <= cfg.dual_tol
 
-    def test_perfect_phase_handoff_solves_the_full_lp(self, monkeypatch):
-        """A perfect-phase run uncertified after the handoff skips the reduced solve."""
+    def test_perfect_phase_handoff_solves_a_screened_lp(self, monkeypatch):
+        """A perfect-phase run uncertified after the handoff solves the LP screened
+        at its iterate, and no LP at GAMP's point."""
         instance = _ensemble_instance(0.02, 2)
         _, _, prefix, collapsed = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
         assert collapsed
@@ -284,22 +285,49 @@ class TestExactFinish:
         _without_polish(monkeypatch)
         result = decode(instance, 1.0)
         assert result.converged
-        assert result.finish == "lp"
+        assert result.finish == "reduced-lp"
         assert result.iterations == prefix + decoder._LP_HANDOFF
         m, n = instance.A.shape
-        assert shapes == [(m, 2 * n + 2 * m)]
+        assert len(shapes) == 1
+        assert shapes[0][0] < m and shapes[0][1] < 2 * n + 2 * m
 
     def test_late_collapse_takes_the_handoff(self):
         """Just outside the phase GAMP's tau_r can still collapse, late; the
-        iteration would need about 182,000 sweeps here, the handoff LP ends it."""
+        iteration would need about 182,000 sweeps here, the LP screened at the
+        handoff iterate ends it."""
         params = SystemParams(alpha=0.5, lam=1.0, rho_x=0.11, rho_w=0.1)
         instance = sample_instance(EnsembleSpec(n=256, params=params, trials=1, base_seed=777), 0)
         _, _, prefix, collapsed = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
         assert collapsed and prefix < decoder._GAMP_ITERS
         result = decode(instance, 1.0)
         assert result.converged
-        assert result.finish == "lp"
-        assert result.iterations == prefix + decoder._LP_HANDOFF
+        assert result.finish == "reduced-lp"
+        assert result.iterations == prefix + decoder._LP_HANDOFF == 592
+        x = lp_decode(instance.A, instance.y, 1.0)
+        np.testing.assert_allclose(
+            result.objective, evaluate_objective(instance, x, 1.0), rtol=1e-9
+        )
+
+    # (seed, rho_x, trial, tolerance): trials of criterion 07's n = 256 points
+    # and of criterion 08 whose screened vertex at GAMP's point is rejected;
+    # the handoff's screened LP or the polish certifies them
+    @pytest.mark.parametrize(
+        "seed, rho_x, trial_index, tol",
+        [(12345, 0.11, 28, 1e-7), (12345, 0.05, 35, 1e-9), (777, 0.11, 18, 1e-7)],
+    )
+    def test_rejected_screened_vertex_is_finished_without_the_full_lp(
+        self, monkeypatch, seed, rho_x, trial_index, tol
+    ):
+        params = SystemParams(alpha=0.5, lam=1.0, rho_x=rho_x, rho_w=0.1)
+        spec = EnsembleSpec(n=256, params=params, trials=trial_index + 1, base_seed=seed)
+        instance = sample_instance(spec, trial_index)
+        shapes = _recording_linprog(monkeypatch)
+        cfg = DecoderConfig(primal_tol=tol, dual_tol=tol, max_iters=300_000)
+        result = decode(instance, 1.0, cfg)
+        assert result.converged
+        assert result.finish in {"reduced-lp", "polish"}
+        m, n = instance.A.shape
+        assert shapes and all(rows < m and cols < 2 * n + 2 * m for rows, cols in shapes)
         x = lp_decode(instance.A, instance.y, 1.0)
         np.testing.assert_allclose(
             result.objective, evaluate_objective(instance, x, 1.0), rtol=1e-9

@@ -161,11 +161,11 @@ class TestRunTrial:
 class TestRunMonteCarlo:
     def test_worker_count_does_not_change_results(self):
         # the second ensemble sits outside the perfect phase at rho_x 0.15,
-        # where every trial is finished by an exact LP vertex; the third sits
+        # where every trial is finished by a screened LP vertex; the third sits
         # deep inside it, where every trial is finished by the polished pair
         lp_spec = _spec(n=128, rho_x=0.15, trials=4)
         polish_spec = _spec(n=128, rho_x=0.02, trials=4)
-        for spec, finishes in ((lp_spec, {"reduced-lp", "lp"}), (polish_spec, {"polish"})):
+        for spec, finishes in ((lp_spec, {"reduced-lp"}), (polish_spec, {"polish"})):
             finished = [decode(sample_instance(spec, i), 1.0) for i in range(spec.trials)]
             assert all(r.converged and r.finish in finishes for r in finished)
         for spec in (_spec(trials=4), lp_spec, polish_spec):
