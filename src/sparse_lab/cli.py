@@ -4,8 +4,8 @@ Data rows go to stdout or to --output; progress and diagnostics go to
 stderr. CSV output carries '# key = value' metadata lines above an
 RFC-4180 header and rows, with floats printed to 17 significant digits so
 they round-trip exactly. JSON output is one object {"meta": ..., "records":
-[...]}. Exit codes: 0 success, 1 computational failure (also a Monte Carlo
-worker process that died), 2 usage error.
+[...]}. Exit codes: 0 success, 1 computational failure (also a pool worker
+process that died), 2 usage error.
 
 A flat key = value config file can stand in for flags: values from
 --config FILE are applied first and explicit flags override them. The
@@ -29,11 +29,18 @@ from typing import Sequence
 
 from . import __version__
 from .decoder import DEFAULT_DECODER, DecoderConfig
-from .experiments import EnsembleSpec, PhaseDiagramRow, run_monte_carlo, sweep_phase_diagram
+from .experiments import (
+    EnsembleSpec,
+    PhaseDiagramRow,
+    _ordered_map,
+    run_monte_carlo,
+    sweep_phase_diagram,
+)
 from .replica import (
     DEFAULT_SOLVER,
     BracketError,
     FixedPointError,
+    FixedPointState,
     ObjectiveProbeError,
     SolverConfig,
     SystemParams,
@@ -51,7 +58,7 @@ __all__ = ["main", "build_parser"]
 _BOOL_KEYS = {"with-mc"}
 
 # the settings of the ensemble and its decoder, read only with --with-mc
-_MC_KEYS = ("n", "trials", "seed", "workers", "success_tol", "decoder_tol", "decoder_max_iters")
+_MC_KEYS = ("n", "trials", "seed", "success_tol", "decoder_tol", "decoder_max_iters")
 
 _COMPUTE_ERRORS = (FixedPointError, BracketError, ObjectiveProbeError, BrokenProcessPool)
 
@@ -187,6 +194,10 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="base seed (default: SPARSE_LAB_SEED or 12345)")
     tol = _default_of(run_monte_carlo, "success_tol")
     p.add_argument("--success-tol", type=float, default=tol, help="per-component success threshold")
+    _add_workers_flag(p)
+
+
+def _add_workers_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers",
         type=int,
@@ -297,32 +308,47 @@ _CURVE_COLUMNS = [
 ]
 
 
+def _curve_point(params: SystemParams, cfg: SolverConfig) -> FixedPointState | None:
+    """The mse fixed point at one curve point, None where its solve fails."""
+    try:
+        return solve_mse_fixed_point(params, cfg)
+    except FixedPointError:
+        return None
+
+
 def cmd_mse_curve(args: argparse.Namespace) -> int:
     cfg = _solver_config(args)
     grid = _grid(args)
     if args.axis == "rho-x":
         alpha = _require(args, "--alpha", "when sweeping the signal density")
+        points = [dict(alpha=alpha, rho_x=value) for value in grid]
     else:
         rho_x = _require(args, "--rho-x", "when sweeping the measurement ratio")
-    records: list[dict] = []
-    progress = _progress("mse-curve")
-    for index, value in enumerate(grid):
-        if args.axis == "rho-x":
-            point = dict(alpha=alpha, rho_x=value)
-        else:
-            point = dict(alpha=value, rho_x=rho_x)
-        params = SystemParams(
+        points = [dict(alpha=value, rho_x=rho_x) for value in grid]
+    params = [
+        SystemParams(
             lam=args.lam,
             rho_w=args.rho_w,
             sigma2_x=args.sigma2_x,
             sigma2_w=args.sigma2_w,
             **point,
         )
+        for point in points
+    ]
+    progress = _progress("mse-curve")
+    # with --with-mc the ensembles take the time, and progress follows them
+    states = _ordered_map(
+        _curve_point,
+        [(point_params, cfg) for point_params in params],
+        args.workers,
+        None if args.with_mc else progress,
+        batch=True,
+    )
+    records: list[dict] = []
+    for index, (point, point_params, state) in enumerate(zip(points, params, states)):
         record = dict.fromkeys(_CURVE_COLUMNS, math.nan)
         record.update(point)
-        try:
-            state = solve_mse_fixed_point(params, cfg)
-        except FixedPointError:
+        if state is None:
             record["status"] = "failed"
         else:
             record["status"] = "perfect" if state.perfect else "converged"
@@ -337,7 +363,9 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
                 rejections=state.rejections,
             )
         if args.with_mc:
-            spec = EnsembleSpec(n=args.n, params=params, trials=args.trials, base_seed=_seed_of(args))
+            spec = EnsembleSpec(
+                n=args.n, params=point_params, trials=args.trials, base_seed=_seed_of(args)
+            )
             aggregate = run_monte_carlo(
                 spec,
                 _decoder_config(args),
@@ -350,8 +378,8 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
                 mc_success_fraction=aggregate.success_fraction,
                 mc_not_converged=aggregate.not_converged,
             )
+            progress(index + 1, len(grid))
         records.append(record)
-        progress(index + 1, len(grid))
     axis = "rho_x" if args.axis == "rho-x" else "alpha"
     if args.with_mc:
         meta = _meta_of(args, (axis,), seed=_seed_of(args))
@@ -374,6 +402,7 @@ def cmd_phase_diagram(args: argparse.Namespace) -> int:
         deltas,
         lambda_mode=args.lambda_mode,
         cfg=cfg,
+        workers=args.workers,
         progress=_progress("phase-diagram"),
     )
     columns = [f.name for f in fields(PhaseDiagramRow)]
@@ -499,6 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = _default_of(sweep_phase_diagram, "lambda_mode")
     p.add_argument("--lambda-mode", choices=("fixed", "both"), default=mode)
     _add_solver_flags(p, search=True, penalty=True)
+    _add_workers_flag(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_phase_diagram)
 

@@ -5,18 +5,20 @@ Random instances are drawn from counter-based streams keyed by
 isolation and results do not depend on scheduling: splitting the work
 across processes returns bitwise-identical aggregates.
 
-Parallel Monte Carlo calls reuse one warm worker pool, so a caller that
-makes calls back to back (mse-curve --with-mc, a Python loop over grid
-points) forks its workers once. A parallel call takes the idle pool out
-of its slot, reusing it if it has the call's size and otherwise shutting
-it down and forking a new one, so the workers see this module's state
-(and the rest of the process's) as of that fork, not as of each call. A
-call that succeeds puts its pool back, shutting down any pool another
-thread put back meanwhile, and the pool is shut down _POOL_IDLE_S
-seconds later unless another call takes it first. A call that fails (a
-worker died, or an interrupt) is not retried and shuts its pool down,
-dropping the trials not yet started. Workers of a live pool are joined
-at interpreter exit.
+Parallel calls (Monte Carlo trials, phase-diagram cells, and the CLI's
+mse-curve points) run their independent jobs through one ordered map
+over one warm worker pool, so a caller that makes calls back to back
+(phase-diagram then mse-curve, mse-curve --with-mc, a Python loop over
+grid points) forks its workers once. A parallel call takes the idle
+pool out of its slot, reusing it if it has the call's size and
+otherwise shutting it down and forking a new one, so the workers see
+this module's state (and the rest of the process's) as of that fork,
+not as of each call. A call that succeeds puts its pool back, shutting
+down any pool another thread put back meanwhile, and the pool is shut
+down _POOL_IDLE_S seconds later unless another call takes it first. A
+call that fails (a job raised, a worker died, or an interrupt) is not
+retried and shuts its pool down, dropping the jobs not yet started.
+Workers of a live pool are joined at interpreter exit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import starmap
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
@@ -58,7 +60,9 @@ _SUPPORT_TOL = 1e-6
 # The worker pool is shut down after this many seconds without a call.
 # Forked workers hold every descriptor this process had at the fork, so
 # whoever waits for EOF on a pipe this process closes waits this long
-# after the last call; back-to-back calls come within a few milliseconds.
+# after the last call; back-to-back calls, such as successive mc
+# ensembles or a phase diagram followed by an mse curve, come within a
+# few milliseconds.
 _POOL_IDLE_S = 0.1
 
 ProgressCallback = Callable[[int, int], None]
@@ -238,6 +242,56 @@ def _drop_idle(pool: ProcessPoolExecutor) -> None:
     pool.shutdown()
 
 
+def _ordered_map(
+    fn: Callable,
+    jobs: Sequence[tuple],
+    workers: int,
+    progress: ProgressCallback | None = None,
+    batch: bool = False,
+) -> list:
+    """[fn(*job) for job in jobs], in job order, whatever the worker count.
+
+    With more than one worker the jobs run in the warm pool of
+    min(workers, len(jobs)) processes described in the module docstring,
+    so fn must be importable by name and its arguments and results
+    picklable. An exception fn raises reaches the caller as itself, and a
+    dead worker makes the call raise BrokenProcessPool. progress, when
+    given, is called as progress(done, total) after each result in order.
+
+    Each job goes to a worker alone unless batch is set; then the jobs go
+    in about four batches per worker, the rule of multiprocessing.Pool.map.
+    A round trip to a worker costs about 0.1 ms, which batching saves on
+    jobs of a millisecond or less; a long job, such as a decode, would
+    instead hold up the jobs batched behind it.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
+    pool_size = min(workers, len(jobs))
+    pool = None if pool_size <= 1 else _take_pool(pool_size)
+    results: list = []
+    try:
+        if pool is None:
+            mapped = starmap(fn, jobs)
+        elif batch:
+            mapped = pool.map(fn, *zip(*jobs), chunksize=-(-len(jobs) // (4 * pool_size)))
+        else:
+            mapped = pool.map(fn, *zip(*jobs))
+        for result in mapped:
+            results.append(result)
+            if progress is not None:
+                progress(len(results), len(jobs))
+    except BaseException:
+        if pool is not None:
+            # a job has raised or a dead worker has broken the pool, and
+            # either way, or after an interrupt, the remaining jobs are
+            # still queued in it
+            pool.shutdown(cancel_futures=True)
+        raise
+    if pool is not None:
+        _put_pool(pool_size, pool)
+    return results
+
+
 def run_monte_carlo(
     spec: EnsembleSpec,
     decoder_cfg: DecoderConfig = DEFAULT_DECODER,
@@ -256,27 +310,8 @@ def run_monte_carlo(
     """
     if not success_tol > 0.0:
         raise ValueError(f"success_tol must be positive, got {success_tol!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers!r}")
-
-    pool_size = min(workers, spec.trials)
-    pool = None if pool_size == 1 else _take_pool(pool_size)
-    mapper = map if pool is None else pool.map
-    summaries: list[TrialSummary] = []
-    try:
-        trials = mapper(run_trial, repeat(spec), range(spec.trials), repeat(decoder_cfg))
-        for done, summary in enumerate(trials, start=1):
-            summaries.append(summary)
-            if progress is not None:
-                progress(done, spec.trials)
-    except BaseException:
-        if pool is not None:
-            # a dead worker has broken the pool, and an interrupted call
-            # has left its remaining trials queued in it
-            pool.shutdown(cancel_futures=True)
-        raise
-    if pool is not None:
-        _put_pool(pool_size, pool)
+    jobs = [(spec, trial_index, decoder_cfg) for trial_index in range(spec.trials)]
+    summaries: list[TrialSummary] = _ordered_map(run_trial, jobs, workers, progress)
 
     errors = [s.squared_error for s in summaries]
     mean_mse = sum(errors) / len(errors)
@@ -313,19 +348,46 @@ class PhaseDiagramRow:
     lambda_star: float
 
 
+def _phase_cell(
+    rho_x: float, delta: float, rho_w: float, lambda_mode: str, cfg: SolverConfig
+) -> PhaseDiagramRow:
+    """One cell of sweep_phase_diagram, a job of its ordered map."""
+    alpha_fixed = find_critical_alpha(1.0, rho_x, rho_w, cfg)
+    if lambda_mode == "both":
+        optimum = optimize_lambda("critical-alpha", rho_x=rho_x, rho_w=rho_w, cfg=cfg)
+        alpha_best = optimum.objective_value
+        lambda_star = optimum.lambda_star
+    else:
+        alpha_best = math.nan
+        lambda_star = math.nan
+    return PhaseDiagramRow(
+        rho_x=rho_x,
+        delta=delta,
+        rho_w=rho_w,
+        alpha_c_fixed=alpha_fixed,
+        alpha_c_optimal=alpha_best,
+        lambda_star=lambda_star,
+    )
+
+
 def sweep_phase_diagram(
     rho_x_grid: Sequence[float] | Iterable[float],
     deltas: Sequence[float],
     lambda_mode: str = "both",
     cfg: SolverConfig = DEFAULT_SOLVER,
+    workers: int = 1,
     progress: ProgressCallback | None = None,
 ) -> list[PhaseDiagramRow]:
     """Critical measurement ratio over a (rho_x, delta) grid.
 
     lambda_mode "fixed" computes the boundary at lam = 1 only; "both" also
     searches the penalty weight minimizing the boundary for every cell.
-    Solver and bracket failures propagate: a sweep either completes in
-    full or fails loudly.
+    Every cell is validated before any is solved. Rows come in grid order,
+    rho_x outer and delta inner, bitwise independent of workers; with more
+    than one worker the cells run in the warm pool described in the module
+    docstring. Solver and bracket failures propagate: a sweep either
+    completes in full or fails loudly. progress, when given, is called as
+    progress(done, total) after each finished cell.
     """
     grid = [float(r) for r in rho_x_grid]
     if not grid:
@@ -340,36 +402,10 @@ def sweep_phase_diagram(
     for delta in deltas:
         if not delta >= 0.0:
             raise ValueError(f"deltas must be nonnegative, got {delta!r}")
-
-    rows: list[PhaseDiagramRow] = []
-    total = len(grid) * len(deltas)
-    for rho_x in grid:
-        for delta in deltas:
-            rho_w = delta * rho_x
-            if rho_w > 1.0:
-                raise ValueError(
-                    f"delta={delta!r} at rho_x={rho_x!r} implies noise density {rho_w!r} > 1"
-                )
-            alpha_fixed = find_critical_alpha(1.0, rho_x, rho_w, cfg)
-            if lambda_mode == "both":
-                optimum = optimize_lambda(
-                    "critical-alpha", rho_x=rho_x, rho_w=rho_w, cfg=cfg
-                )
-                alpha_best = optimum.objective_value
-                lambda_star = optimum.lambda_star
-            else:
-                alpha_best = math.nan
-                lambda_star = math.nan
-            rows.append(
-                PhaseDiagramRow(
-                    rho_x=rho_x,
-                    delta=delta,
-                    rho_w=rho_w,
-                    alpha_c_fixed=alpha_fixed,
-                    alpha_c_optimal=alpha_best,
-                    lambda_star=lambda_star,
-                )
+    cells = [(rho_x, delta, delta * rho_x, lambda_mode, cfg) for rho_x in grid for delta in deltas]
+    for rho_x, delta, rho_w, _, _ in cells:
+        if rho_w > 1.0:
+            raise ValueError(
+                f"delta={delta!r} at rho_x={rho_x!r} implies noise density {rho_w!r} > 1"
             )
-            if progress is not None:
-                progress(len(rows), total)
-    return rows
+    return _ordered_map(_phase_cell, cells, workers, progress, batch=True)

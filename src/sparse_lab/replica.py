@@ -238,6 +238,11 @@ class ObjectiveProbeError(RuntimeError):
         super().__init__(message)
         self.lam = lam
 
+    def __reduce__(self):
+        # the default rebuilds from args alone, which lack lam, so a probe
+        # failure in a pool worker would reach the caller as a broken pool
+        return type(self), (self.args[0], self.lam)
+
 
 def _interior_moment_pair(t: float) -> float:
     """s(t) + 2 Q(t), the chi_hat kernel; t = +inf is an exact zero and t = 0 an exact one."""

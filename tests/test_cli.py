@@ -128,16 +128,16 @@ class TestDefaults:
                             {"solve_for", "rho_x", "rho_w", "lambda", *SOLVER}),
         "mse-curve": ([*CURVE, "--alpha", "0.5"],
                       {"axis", "alpha", "rho_w", "lambda", "sigma2_x", "sigma2_w", *GRID, *SOLVER,
-                       "with_mc"}),
+                       "with_mc", "workers"}),
         "mse-curve-with-mc": (["mse-curve", "--axis", "alpha", "--rho-x", "0.1", "--rho-w", "0.1",
                                "--grid-start", "0.5", "--grid-stop", "0.6", "--grid-count", "0",
                                "--with-mc"],
                               {"axis", "rho_x", "rho_w", "lambda", "sigma2_x", "sigma2_w", *GRID,
                                *SOLVER, "with_mc", *ENSEMBLE}),
         "phase-diagram-fixed": ([*PHASE, "--lambda-mode", "fixed"],
-                                {*GRID, "deltas", "lambda_mode", *SOLVER}),
+                                {*GRID, "deltas", "lambda_mode", *SOLVER, "workers"}),
         "phase-diagram-both": ([*PHASE, "--lambda-mode", "both"],
-                               {*GRID, "deltas", "lambda_mode", *SEARCH}),
+                               {*GRID, "deltas", "lambda_mode", *SEARCH, "workers"}),
         "optimize-lambda-critical-rho-x": (
             ["optimize-lambda", "--objective", "critical-rho-x", "--alpha", "0.5", "--rho-w", "0.1"],
             {"objective", "alpha", "rho_w", *SEARCH}),
@@ -595,6 +595,50 @@ class TestPhaseDiagram:
             capsys,
         )
         assert code == 2
+
+
+class TestWorkers:
+    """The grid commands' output does not depend on the worker count."""
+
+    @pytest.mark.parametrize("argv", [
+        ["phase-diagram", "--grid-start", "0.05", "--grid-stop", "0.25", "--grid-count", "3",
+         "--deltas", "0.2,0.02"],
+        ["mse-curve", "--alpha", "0.5", "--rho-w", "0.1", "--grid-start", "0.06",
+         "--grid-stop", "0.3", "--grid-count", "9", "--grid-scale", "log"],
+        ["mse-curve", "--alpha", "0.5", "--rho-w", "0.1", "--grid-start", "0.06",
+         "--grid-stop", "0.3", "--grid-count", "9", "--max-iters", "40"],
+    ], ids=["phase-diagram", "mse-curve", "mse-curve-failed-rows"])
+    def test_csv_does_not_depend_on_workers(self, argv, capsys):
+        """The CSV is byte-identical at one and two workers, but for the
+        workers line of its metadata."""
+        outputs = []
+        for workers in ("1", "2"):
+            code, out, _ = run_cli([*argv, "--workers", workers], capsys)
+            assert code == 0
+            outputs.append(out.splitlines(keepends=True))
+        one, two = outputs
+        assert [line for line in one if line != "# workers = 1\n"] == [
+            line for line in two if line != "# workers = 2\n"
+        ]
+        assert len(one) == len(two) and sum(a != b for a, b in zip(one, two)) == 1
+
+    @pytest.mark.parametrize("argv", [
+        # every cell's boundary solve runs out of budget
+        ["phase-diagram", "--grid-start", "0.05", "--grid-stop", "0.1", "--grid-count", "2",
+         "--deltas", "0.1,0.02", "--max-iters", "2"],
+        # every cell's penalty search fails at a probe
+        ["phase-diagram", "--grid-start", "0.05", "--grid-stop", "0.1", "--grid-count", "2",
+         "--deltas", "0.1,0.02", "--max-iters", "10"],
+        # the last cell has no boundary, after the first has finished
+        ["phase-diagram", "--grid-start", "0.05", "--grid-stop", "0.9", "--grid-count", "2",
+         "--deltas", "1"],
+    ], ids=["fixed-point", "probe", "bracket"])
+    def test_failed_run_does_not_depend_on_workers(self, argv, capsys):
+        runs = [run_cli([*argv, "--workers", workers], capsys) for workers in ("1", "2")]
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
 
 
 class TestMonteCarlo:

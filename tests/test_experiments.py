@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparse_lab import experiments
+from sparse_lab import cli, experiments
 from sparse_lab.decoder import decode
 from sparse_lab.experiments import (
     EnsembleSpec,
@@ -23,7 +23,7 @@ from sparse_lab.experiments import (
     sample_mixture,
     sweep_phase_diagram,
 )
-from sparse_lab.replica import SystemParams
+from sparse_lab.replica import ObjectiveProbeError, SolverConfig, SystemParams
 
 
 def _spec(n=32, trials=4, base_seed=12345, **overrides):
@@ -172,6 +172,21 @@ class TestRunMonteCarlo:
             serial = run_monte_carlo(spec, workers=1)
             parallel = run_monte_carlo(spec, workers=2)
             assert serial == parallel
+        # the grid commands' jobs: phase-diagram cells, and mse-curve points
+        # on both sides of the boundary near rho_x = 0.077, one of them failed
+        grid, deltas = [0.05, 0.1, 0.15], [0.2, 0.02]
+        assert sweep_phase_diagram(grid, deltas, workers=1) == sweep_phase_diagram(
+            grid, deltas, workers=2
+        )
+        points = [
+            (SystemParams(0.5, 1.0, rho_x, 0.1), SolverConfig(max_iters=max_iters))
+            for rho_x in (0.06, 0.07, 0.08, 0.1, 0.2)
+            for max_iters in (3, 50_000)
+        ]
+        serial = experiments._ordered_map(cli._curve_point, points, 1, batch=True)
+        assert sum(state is None for state in serial) == 5
+        assert sum(state is not None and state.perfect for state in serial) == 2
+        assert experiments._ordered_map(cli._curve_point, points, 2, batch=True) == serial
 
     def test_pool_holds_one_process_per_trial(self, monkeypatch, no_cached_pool):
         # with a pool cached, the call would reuse it and never build the stand-in
@@ -257,9 +272,9 @@ def _logged_trial(spec, trial_index, decoder_cfg):
 # worker pids and exits.
 _EXIT_WITH_POOL = """
 import multiprocessing
-from sparse_lab import experiments
+from sparse_lab import cli, experiments
 from sparse_lab.experiments import EnsembleSpec, run_monte_carlo
-from sparse_lab.replica import SystemParams
+from sparse_lab.replica import ObjectiveProbeError, SolverConfig, SystemParams
 
 experiments._POOL_IDLE_S = 60.0
 params = SystemParams(alpha=0.5, lam=1.0, rho_x=0.2, rho_w=0.1)
@@ -284,9 +299,9 @@ def _run_with_src(code):
 # two parallel calls run; exits 0 once the reader has seen the pipe close.
 _PIPE_HOLDER = """
 import subprocess, sys
-from sparse_lab import experiments
+from sparse_lab import cli, experiments
 from sparse_lab.experiments import EnsembleSpec, run_monte_carlo
-from sparse_lab.replica import SystemParams
+from sparse_lab.replica import ObjectiveProbeError, SolverConfig, SystemParams
 
 reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
                           stdin=subprocess.PIPE)
@@ -449,6 +464,28 @@ class TestSweepPhaseDiagram:
         rows = sweep_phase_diagram([0.05, 0.15], [0.1], lambda_mode="fixed")
         assert rows[0].alpha_c_fixed < rows[1].alpha_c_fixed
 
+    def test_grid_is_validated_before_any_solve(self, monkeypatch):
+        """A noise density above 1 in the last cell fails the sweep before
+        the first cell is solved and before a pool is taken."""
+        calls = []
+        monkeypatch.setattr(experiments, "_take_pool", lambda size: calls.append(size))
+        monkeypatch.setattr(experiments, "find_critical_alpha", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="noise density"):
+            sweep_phase_diagram([0.1, 0.9], [0.2, 2.0], workers=2)
+        assert calls == []
+
+    def test_pooled_failure_keeps_its_type(self, no_cached_pool):
+        """A cell whose penalty probe fails raises the same error from a
+        worker as in this process, not a broken pool."""
+        cfg = SolverConfig(max_iters=10)
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(ObjectiveProbeError) as info:
+                sweep_phase_diagram([0.1, 0.15], [0.1], cfg=cfg, workers=workers)
+            errors.append((str(info.value), info.value.lam))
+        assert errors[0] == errors[1]
+        assert experiments._idle is None
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sweep_phase_diagram([], [0.1])
@@ -462,3 +499,5 @@ class TestSweepPhaseDiagram:
             sweep_phase_diagram([0.1], [-0.5])
         with pytest.raises(ValueError):
             sweep_phase_diagram([0.9], [2.0])
+        with pytest.raises(ValueError):
+            sweep_phase_diagram([0.1], [0.1], workers=0)

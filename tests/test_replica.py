@@ -1,6 +1,7 @@
 """Fixed-point solvers, phase boundaries, penalty optimization."""
 
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -16,6 +17,7 @@ from sparse_lab.replica import (
     ObjectiveProbeError,
     SolverConfig,
     SystemParams,
+    ThresholdState,
     find_critical_alpha,
     find_critical_rho_x,
     optimize_lambda,
@@ -862,6 +864,25 @@ class TestOptimizeLambda:
         assert info.value.lam == probed[-1]
         np.testing.assert_allclose(info.value.lam, 0.19579250709528276, rtol=1e-12)
         assert isinstance(info.value.__cause__, FixedPointError)
+
+
+@pytest.mark.parametrize(
+    "error, attributes",
+    [
+        (FixedPointError("not converged", ThresholdState(1.5, 0.25, -0.5, False, 7)), ("state",)),
+        (BracketError("no phase boundary in range"), ()),
+        (ObjectiveProbeError("threshold solve failed at probe lam=0.5", 0.5), ("lam",)),
+    ],
+    ids=["FixedPointError", "BracketError", "ObjectiveProbeError"],
+)
+def test_errors_survive_pickling(error, attributes):
+    """A solver error raised in a pool worker reaches the caller pickled:
+    it comes back with its type, message and attributes."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    for name in attributes:
+        assert getattr(copy, name) == getattr(error, name)
 
 
 class TestInitialState:
