@@ -342,7 +342,6 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
         [(point_params, cfg) for point_params in params],
         args.workers,
         None if args.with_mc else progress,
-        batch=True,
     )
     records: list[dict] = []
     for index, (point, point_params, state) in enumerate(zip(points, params, states)):

@@ -247,7 +247,7 @@ def _ordered_map(
     jobs: Sequence[tuple],
     workers: int,
     progress: ProgressCallback | None = None,
-    batch: bool = False,
+    batch: bool = True,
 ) -> list:
     """[fn(*job) for job in jobs], in job order, whatever the worker count.
 
@@ -258,11 +258,10 @@ def _ordered_map(
     dead worker makes the call raise BrokenProcessPool. progress, when
     given, is called as progress(done, total) after each result in order.
 
-    Each job goes to a worker alone unless batch is set; then the jobs go
-    in about four batches per worker, the rule of multiprocessing.Pool.map.
-    A round trip to a worker costs about 0.1 ms, which batching saves on
-    jobs of a millisecond or less; a long job, such as a decode, would
-    instead hold up the jobs batched behind it.
+    The jobs go to the workers in about four batches per worker, the rule
+    of multiprocessing.Pool.map, or one at a time when batch is False. A
+    failed or interrupted call still runs the batches the workers hold, so
+    callers whose jobs can take seconds, such as decodes, pass False.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
@@ -272,10 +271,9 @@ def _ordered_map(
     try:
         if pool is None:
             mapped = starmap(fn, jobs)
-        elif batch:
-            mapped = pool.map(fn, *zip(*jobs), chunksize=-(-len(jobs) // (4 * pool_size)))
         else:
-            mapped = pool.map(fn, *zip(*jobs))
+            chunksize = -(-len(jobs) // (4 * pool_size)) if batch else 1
+            mapped = pool.map(fn, *zip(*jobs), chunksize=chunksize)
         for result in mapped:
             results.append(result)
             if progress is not None:
@@ -311,7 +309,8 @@ def run_monte_carlo(
     if not success_tol > 0.0:
         raise ValueError(f"success_tol must be positive, got {success_tol!r}")
     jobs = [(spec, trial_index, decoder_cfg) for trial_index in range(spec.trials)]
-    summaries: list[TrialSummary] = _ordered_map(run_trial, jobs, workers, progress)
+    # batches would make an interrupt wait for every trial the workers hold
+    summaries: list[TrialSummary] = _ordered_map(run_trial, jobs, workers, progress, batch=False)
 
     errors = [s.squared_error for s in summaries]
     mean_mse = sum(errors) / len(errors)
@@ -408,4 +407,4 @@ def sweep_phase_diagram(
             raise ValueError(
                 f"delta={delta!r} at rho_x={rho_x!r} implies noise density {rho_w!r} > 1"
             )
-    return _ordered_map(_phase_cell, cells, workers, progress, batch=True)
+    return _ordered_map(_phase_cell, cells, workers, progress)

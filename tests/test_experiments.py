@@ -183,17 +183,18 @@ class TestRunMonteCarlo:
             for rho_x in (0.06, 0.07, 0.08, 0.1, 0.2)
             for max_iters in (3, 50_000)
         ]
-        serial = experiments._ordered_map(cli._curve_point, points, 1, batch=True)
+        serial = experiments._ordered_map(cli._curve_point, points, 1)
         assert sum(state is None for state in serial) == 5
         assert sum(state is not None and state.perfect for state in serial) == 2
-        assert experiments._ordered_map(cli._curve_point, points, 2, batch=True) == serial
+        assert experiments._ordered_map(cli._curve_point, points, 2) == serial
 
     def test_pool_holds_one_process_per_trial(self, monkeypatch, no_cached_pool):
         # with a pool cached, the call would reuse it and never build the stand-in
-        sizes = []
+        sizes, chunksizes = [], []
 
         class InlinePool:
-            """Records the requested pool size and maps in this process."""
+            """Records the requested pool size and batch size and maps in
+            this process."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -201,12 +202,18 @@ class TestRunMonteCarlo:
             def shutdown(self, cancel_futures=False):
                 pass
 
-            map = staticmethod(map)
+            def map(self, fn, *iterables, chunksize):
+                chunksizes.append(chunksize)
+                return map(fn, *iterables)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
         spec = _spec(trials=2)
         assert run_monte_carlo(spec, workers=16) == run_monte_carlo(spec, workers=1)
         assert sizes == [2]
+        # trials go one at a time, even six to a worker
+        spec = _spec(trials=12)
+        assert run_monte_carlo(spec, workers=2) == run_monte_carlo(spec, workers=1)
+        assert chunksizes == [1, 1]
 
     def test_single_trial_mean_is_exact(self):
         spec = _spec(trials=1)
@@ -272,9 +279,9 @@ def _logged_trial(spec, trial_index, decoder_cfg):
 # worker pids and exits.
 _EXIT_WITH_POOL = """
 import multiprocessing
-from sparse_lab import cli, experiments
+from sparse_lab import experiments
 from sparse_lab.experiments import EnsembleSpec, run_monte_carlo
-from sparse_lab.replica import ObjectiveProbeError, SolverConfig, SystemParams
+from sparse_lab.replica import SystemParams
 
 experiments._POOL_IDLE_S = 60.0
 params = SystemParams(alpha=0.5, lam=1.0, rho_x=0.2, rho_w=0.1)
@@ -299,9 +306,9 @@ def _run_with_src(code):
 # two parallel calls run; exits 0 once the reader has seen the pipe close.
 _PIPE_HOLDER = """
 import subprocess, sys
-from sparse_lab import cli, experiments
+from sparse_lab import experiments
 from sparse_lab.experiments import EnsembleSpec, run_monte_carlo
-from sparse_lab.replica import ObjectiveProbeError, SolverConfig, SystemParams
+from sparse_lab.replica import SystemParams
 
 reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
                           stdin=subprocess.PIPE)
