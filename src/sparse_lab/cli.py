@@ -30,6 +30,7 @@ from typing import Sequence
 from . import __version__
 from .decoder import DEFAULT_DECODER, DecoderConfig
 from .experiments import (
+    Aggregate,
     EnsembleSpec,
     PhaseDiagramRow,
     _ordered_map,
@@ -121,16 +122,6 @@ def _progress(label: str):
     return callback
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("SPARSE_LAB_SEED")
-    if raw is None:
-        return 12345
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"SPARSE_LAB_SEED must be an integer, got {raw!r}") from exc
-
-
 def _default_of(func, name: str) -> object:
     """The default of func's parameter name, for the flag that sets it."""
     return inspect.signature(func).parameters[name].default
@@ -182,19 +173,16 @@ def _add_system_flags(p: argparse.ArgumentParser, with_variances: bool = True) -
         p.add_argument("--sigma2-w", type=float, default=d.sigma2_w, help="noise component variance")
 
 
-def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
-    d = DEFAULT_DECODER
-    p.add_argument("--decoder-tol", type=float, default=d.primal_tol, help="decoder certificate tolerance")
-    p.add_argument("--decoder-max-iters", type=int, default=d.max_iters, help="decoder sweep budget")
-
-
-def _add_mc_flags(p: argparse.ArgumentParser) -> None:
+def _add_ensemble_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=256, help="signal dimension")
     p.add_argument("--trials", type=int, default=50, help="number of sampled instances")
     p.add_argument("--seed", type=int, default=None, help="base seed (default: SPARSE_LAB_SEED or 12345)")
     tol = _default_of(run_monte_carlo, "success_tol")
     p.add_argument("--success-tol", type=float, default=tol, help="per-component success threshold")
     _add_workers_flag(p)
+    d = DEFAULT_DECODER
+    p.add_argument("--decoder-tol", type=float, default=d.primal_tol, help="decoder certificate tolerance")
+    p.add_argument("--decoder-max-iters", type=int, default=d.max_iters, help="decoder sweep budget")
 
 
 def _add_workers_flag(p: argparse.ArgumentParser) -> None:
@@ -226,7 +214,35 @@ def _decoder_config(args: argparse.Namespace) -> DecoderConfig:
 
 
 def _seed_of(args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else _default_seed()
+    """--seed, else SPARSE_LAB_SEED, else 12345."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("SPARSE_LAB_SEED", "12345")
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise _UsageError(f"SPARSE_LAB_SEED must be an integer, got {raw!r}") from exc
+
+
+def _params(args: argparse.Namespace, **point: float) -> SystemParams:
+    """The system at point (alpha and rho_x) with the --lambda, --rho-w and variance flags."""
+    return SystemParams(
+        lam=args.lam, rho_w=args.rho_w, sigma2_x=args.sigma2_x, sigma2_w=args.sigma2_w, **point
+    )
+
+
+def _ensemble(
+    args: argparse.Namespace, params: SystemParams, progress=None
+) -> tuple[EnsembleSpec, Aggregate]:
+    """The ensemble of --n, --trials and the seed at params, decoded with the decoder flags."""
+    spec = EnsembleSpec(n=args.n, params=params, trials=args.trials, base_seed=_seed_of(args))
+    return spec, run_monte_carlo(
+        spec,
+        _decoder_config(args),
+        success_tol=args.success_tol,
+        workers=args.workers,
+        progress=progress,
+    )
 
 
 def _require(args: argparse.Namespace, flag: str, reason: str) -> float:
@@ -289,10 +305,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
-_CURVE_COLUMNS = [
-    "rho_x",
-    "alpha",
-    "status",
+# the FixedPointState fields of a curve row and the Aggregate fields an
+# ensemble reports, each in column order
+_STATE_FIELDS = (
     "mse",
     "chi",
     "m_hat",
@@ -301,10 +316,20 @@ _CURVE_COLUMNS = [
     "diag_q",
     "iterations",
     "rejections",
-    "mc_mean_mse",
-    "mc_std_error",
-    "mc_success_fraction",
-    "mc_not_converged",
+)
+_AGGREGATE_FIELDS = (
+    "mean_mse",
+    "std_error",
+    "success_fraction",
+    "not_converged",
+)
+
+_CURVE_COLUMNS = [
+    "rho_x",
+    "alpha",
+    "status",
+    *_STATE_FIELDS,
+    *(f"mc_{name}" for name in _AGGREGATE_FIELDS),
 ]
 
 
@@ -325,16 +350,7 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
     else:
         rho_x = _require(args, "--rho-x", "when sweeping the measurement ratio")
         points = [dict(alpha=value, rho_x=rho_x) for value in grid]
-    params = [
-        SystemParams(
-            lam=args.lam,
-            rho_w=args.rho_w,
-            sigma2_x=args.sigma2_x,
-            sigma2_w=args.sigma2_w,
-            **point,
-        )
-        for point in points
-    ]
+    params = [_params(args, **point) for point in points]
     progress = _progress("mse-curve")
     # with --with-mc the ensembles take the time, and progress follows them
     states = _ordered_map(
@@ -351,32 +367,10 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
             record["status"] = "failed"
         else:
             record["status"] = "perfect" if state.perfect else "converged"
-            record.update(
-                mse=state.mse,
-                chi=state.chi,
-                m_hat=state.m_hat,
-                chi_hat=state.chi_hat,
-                diag_m=state.diag_m,
-                diag_q=state.diag_q,
-                iterations=state.iterations,
-                rejections=state.rejections,
-            )
+            record.update((name, getattr(state, name)) for name in _STATE_FIELDS)
         if args.with_mc:
-            spec = EnsembleSpec(
-                n=args.n, params=point_params, trials=args.trials, base_seed=_seed_of(args)
-            )
-            aggregate = run_monte_carlo(
-                spec,
-                _decoder_config(args),
-                success_tol=args.success_tol,
-                workers=args.workers,
-            )
-            record.update(
-                mc_mean_mse=aggregate.mean_mse,
-                mc_std_error=aggregate.std_error,
-                mc_success_fraction=aggregate.success_fraction,
-                mc_not_converged=aggregate.not_converged,
-            )
+            _, aggregate = _ensemble(args, point_params)
+            record.update((f"mc_{name}", getattr(aggregate, name)) for name in _AGGREGATE_FIELDS)
             progress(index + 1, len(grid))
         records.append(record)
     axis = "rho_x" if args.axis == "rho-x" else "alpha"
@@ -447,36 +441,19 @@ def cmd_optimize_lambda(args: argparse.Namespace) -> int:
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
-    params = SystemParams(
-        alpha=_require(args, "--alpha", "to size the ensemble"),
-        lam=args.lam,
-        rho_x=_require(args, "--rho-x", "to sample signals"),
-        rho_w=args.rho_w,
-        sigma2_x=args.sigma2_x,
-        sigma2_w=args.sigma2_w,
-    )
-    spec = EnsembleSpec(n=args.n, params=params, trials=args.trials, base_seed=_seed_of(args))
-    aggregate = run_monte_carlo(
-        spec,
-        _decoder_config(args),
-        success_tol=args.success_tol,
-        workers=args.workers,
-        progress=_progress("mc"),
-    )
+    alpha = _require(args, "--alpha", "to size the ensemble")
+    params = _params(args, alpha=alpha, rho_x=_require(args, "--rho-x", "to sample signals"))
+    spec, aggregate = _ensemble(args, params, _progress("mc"))
     replica = solve_mse_fixed_point(params)
-    meta = _meta_of(args, seed=_seed_of(args))
     record = {
         "n": spec.n,
         "m": spec.m,
         "trials": aggregate.trials,
-        "mean_mse": aggregate.mean_mse,
-        "std_error": aggregate.std_error,
-        "success_fraction": aggregate.success_fraction,
-        "not_converged": aggregate.not_converged,
+        **{name: getattr(aggregate, name) for name in _AGGREGATE_FIELDS},
         "replica_mse": replica.mse,
         "replica_perfect": replica.perfect,
     }
-    _emit(args, meta, [record], list(record.keys()))
+    _emit(args, _meta_of(args, seed=spec.base_seed), [record], list(record.keys()))
     return 0
 
 
@@ -516,8 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p, "axis")
     _add_solver_flags(p)
     p.add_argument("--with-mc", action="store_true", help="decode finite instances at each point")
-    _add_mc_flags(p)
-    _add_decoder_flags(p)
+    _add_ensemble_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_mse_curve)
 
@@ -544,8 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc", help="decode a sampled ensemble and compare predictions")
     _add_system_flags(p)
-    _add_mc_flags(p)
-    _add_decoder_flags(p)
+    _add_ensemble_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_mc)
 
@@ -601,29 +576,17 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    raw_argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        processed = _inject_config(raw_argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    try:
-        args = parser.parse_args(processed)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        processed = _inject_config(list(sys.argv[1:] if argv is None else argv))
+        try:
+            args = build_parser().parse_args(processed)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError, *_COMPUTE_ERRORS) as exc:
+        # BracketError is a ValueError, so the computational failures are told apart first
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _COMPUTE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _COMPUTE_ERRORS) else 2
 
 
 if __name__ == "__main__":

@@ -234,14 +234,9 @@ class BracketError(ValueError):
 class ObjectiveProbeError(RuntimeError):
     """The penalty-weight search hit an unevaluable probe point."""
 
-    def __init__(self, message: str, lam: float) -> None:
+    def __init__(self, message: str, lam: float = math.nan) -> None:
         super().__init__(message)
         self.lam = lam
-
-    def __reduce__(self):
-        # the default rebuilds from args alone, which lack lam, so a probe
-        # failure in a pool worker would reach the caller as a broken pool
-        return type(self), (self.args[0], self.lam)
 
 
 def _interior_moment_pair(t: float) -> float:
@@ -676,12 +671,20 @@ def solve_threshold_fixed_point(
             f_lo = alpha * _interior_moment_pair(math.sqrt(rho_x) / lam) if rho_x > 0.0 else alpha
         # the root is positive, so the relative tolerance governs; the
         # evaluation budget stops the search before brentq's own cap does
-        ends = {lo: f_lo, alpha: f_hi}
-        chi_hat = brentq(lambda c: ends[c] if c in ends else gap(c), lo, alpha,
+        chi_hat = _brent(gap, lo, alpha, f_lo, f_hi,
                          xtol=1e-300, rtol=cfg.rel_tol, maxiter=cfg.max_iters)
     a_value = a_of[chi_hat]  # brentq returns a point it evaluated
     residual = _condition_residual(alpha, lam, rho_x, rho_w, a_value, chi_hat)
     return ThresholdState(a_value, chi_hat, residual, True, len(a_of))
+
+
+def _brent(
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, **tols: float
+) -> float:
+    """brentq's root of f on (lo, hi) with brentq's tols, given f_lo = f(lo)
+    and f_hi = f(hi): the ends are not evaluated again."""
+    ends = {lo: f_lo, hi: f_hi}
+    return brentq(lambda v: ends[v] if v in ends else f(v), lo, hi, **tols)
 
 
 def _check_bracket(name: str, lo: float, hi: float, f_lo: float, f_hi: float, rising: bool) -> None:
@@ -708,16 +711,12 @@ def _boundary_root(
     """Root of the condition residual on (lo, hi) by Brent's method.
 
     The ends are checked by _check_bracket with rising. The root is pinned
-    to within cfg.bisection_tol / 2. Each end is solved once: Brent's method
-    gets the stored end values.
+    to within cfg.bisection_tol / 2. Each end is solved once.
     """
     f_lo = residual_at(lo)
     f_hi = residual_at(hi)
     _check_bracket(name, lo, hi, f_lo, f_hi, rising)
-    ends = {lo: f_lo, hi: f_hi}
-    return brentq(
-        lambda v: ends[v] if v in ends else residual_at(v), lo, hi, xtol=cfg.bisection_tol / 2
-    )
+    return _brent(residual_at, lo, hi, f_lo, f_hi, xtol=cfg.bisection_tol / 2)
 
 
 def find_critical_rho_x(
@@ -771,18 +770,15 @@ def find_critical_alpha(
     f_lo, f_hi = bottom.condition_residual, top.condition_residual
     _check_bracket("alpha", 1e-4, 1.0, f_lo, f_hi, rising=True)
     update, _ = _counted_map(1.0, lam, rho_x, rho_w, cfg)  # G at alpha = 1 is g
-    ends = {bottom.chi_hat: f_lo, top.chi_hat: f_hi}
     alpha_of = {bottom.chi_hat: 1e-4, top.chi_hat: 1.0}
 
     def residual_at(chi_hat: float) -> float:
-        if chi_hat in ends:
-            return ends[chi_hat]
         a_value, g = update(chi_hat)
         alpha = alpha_of[chi_hat] = chi_hat / g
         return _condition_residual(alpha, lam, rho_x, rho_w, a_value, chi_hat)
 
     # the ends are not evaluated again, so brentq's cap sits one past the budget
-    chi_hat = brentq(residual_at, bottom.chi_hat, top.chi_hat,
+    chi_hat = _brent(residual_at, bottom.chi_hat, top.chi_hat, f_lo, f_hi,
                      xtol=1e-300, rtol=cfg.rel_tol, maxiter=cfg.max_iters + 1)
     return alpha_of[chi_hat]
 

@@ -417,6 +417,14 @@ class TestMseCurve:
         assert all(math.isnan(float(rows[0][column]))
                    for column in ("mse", "chi_hat", "iterations", "rejections"))
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--grid-count", "-1"], "--grid-count must be nonnegative"),
+        (["--grid-start", "0", "--grid-scale", "log"], "log grids need positive endpoints"),
+    ], ids=["negative-count", "log-from-zero"])
+    def test_invalid_grid_exits_2(self, grid, message, capsys):
+        code, out, err = run_cli([*self.ARGS, *grid], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_with_mc_rows_do_not_depend_on_workers(self, capsys):
         """--with-mc fills the ensemble columns, and the rows are the same
         on one worker and on two."""
@@ -492,6 +500,38 @@ class TestConfigFile:
         config.write_text("with-mc = maybe\n")
         code, _, _ = run_cli(argv, capsys)
         assert code == 2
+
+    def test_config_equals_form(self, capsys, tmp_path):
+        """--config=FILE supplies the same flags as --config FILE."""
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 0.5\nrho-w = 0.1\n")
+        argv = ["threshold", "--solve-for", "rho-x", "--format", "json"]
+        spaced = run_cli([*argv, "--config", str(config)], capsys)
+        joined = run_cli([*argv, f"--config={config}"], capsys)
+        assert spaced[0] == 0 and joined == spaced
+
+    def test_config_without_path(self, capsys):
+        code, out, err = run_cli(["threshold", "--solve-for", "rho-x", "--config"], capsys)
+        assert (code, out, err) == (2, "", "error: --config needs a file path\n")
+
+    def test_true_boolean_config_key_decodes(self, capsys, tmp_path):
+        """with-mc = true in a config file turns the ensemble columns on."""
+        config = tmp_path / "run.cfg"
+        config.write_text("with-mc = true\nn = 16\ntrials = 2\nworkers = 1\n")
+        code, out, _ = run_cli(
+            ["mse-curve", "--alpha", "0.5", "--rho-w", "0.1", "--grid-start", "0.1",
+             "--grid-stop", "0.1", "--grid-count", "1", "--decoder-tol", "1e-7",
+             "--config", str(config), "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["meta"]["with_mc"] is True
+        assert (payload["meta"]["n"], payload["meta"]["trials"]) == (16, 2)
+        (record,) = payload["records"]
+        assert record["mc_mean_mse"] >= 0.0 and record["mc_std_error"] >= 0.0
+        assert 0.0 <= record["mc_success_fraction"] <= 1.0
+        assert record["mc_not_converged"] == 0
 
 
 class TestSeedResolution:
@@ -707,3 +747,22 @@ class TestSelftest:
         assert len(records) >= 10
         assert all(record["passed"] for record in records)
         assert "checks passed" in err
+
+    def test_raising_check_fails_the_run(self, capsys, monkeypatch):
+        """A check that raises is reported as a failed result, and the
+        command then exits 1."""
+        def check_that_raises():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(selftest, "CHECKS", (selftest.check_tail_values, check_that_raises))
+        results = selftest.run_all()
+        assert [(r.name, r.passed) for r in results] == [
+            ("tail-values", True), ("check_that_raises", False)
+        ]
+        assert results[1].detail == "raised RuntimeError('boom')"
+        code, out, err = run_cli(["selftest", "--format", "json"], capsys)
+        assert code == 1
+        assert json.loads(out)["records"][1] == {
+            "check": "check_that_raises", "passed": False, "detail": "raised RuntimeError('boom')"
+        }
+        assert "1/2 checks passed" in err

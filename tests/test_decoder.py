@@ -441,6 +441,11 @@ class TestBehavior:
         assert evaluate_objective(instance, expected, 1.0) < np.sum(np.abs(instance.y))
         assert np.array_equal(result.x_hat, expected)
 
+    @pytest.mark.parametrize("field", ["primal_tol", "dual_tol", "power_iters", "power_tol"])
+    def test_zero_setting_rejected(self, field):
+        with pytest.raises(ValueError, match=field):
+            DecoderConfig(**{field: 0})
+
     def test_invalid_penalty(self):
         instance = ProblemInstance(A=np.eye(2), y=np.ones(2))
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -389,6 +390,21 @@ class TestWorkerPool:
             time.sleep(0.01)
         assert not _workers()
         assert experiments._idle is None
+
+    def test_stale_idle_timer_keeps_the_slot_pool(self, monkeypatch):
+        """An idle timer that fires for a pool no longer in the slot, one a
+        call has since taken out, leaves the slot's pool alive."""
+        monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)
+        run_monte_carlo(_spec(trials=2), workers=2)
+        idle = experiments._idle
+        stale = ProcessPoolExecutor(max_workers=1)
+        try:
+            experiments._drop_idle(stale)
+        finally:
+            stale.shutdown()
+        assert experiments._idle is idle
+        assert idle[1].submit(abs, -1).result(timeout=30.0) == 1
+        assert len(_workers()) == 2
 
     def test_dead_worker_fails_that_call_only(self, monkeypatch):
         monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)
