@@ -7,9 +7,10 @@ they round-trip exactly. JSON output is one object {"meta": ..., "records":
 [...]}. Exit codes: 0 success, 1 computational failure (also a pool worker
 process that died), 2 usage error.
 
-A flat key = value config file can stand in for flags: values from
---config FILE are applied first and explicit flags override them. The
-environment variable SPARSE_LAB_SEED supplies the default --seed.
+A flat key = value config file can stand in for flags: each --config FILE
+is applied in command-line order, a later file overriding an earlier one,
+and explicit flags override them all. The environment variable
+SPARSE_LAB_SEED supplies the default --seed.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .decoder import DEFAULT_DECODER, DecoderConfig
@@ -231,18 +233,21 @@ def _params(args: argparse.Namespace, **point: float) -> SystemParams:
     )
 
 
-def _ensemble(
-    args: argparse.Namespace, params: SystemParams, progress=None
-) -> tuple[EnsembleSpec, Aggregate]:
-    """The ensemble of --n, --trials and the seed at params, decoded with the decoder flags."""
-    spec = EnsembleSpec(n=args.n, params=params, trials=args.trials, base_seed=_seed_of(args))
-    return spec, run_monte_carlo(
-        spec,
-        _decoder_config(args),
+def _ensembles(
+    args: argparse.Namespace, params: Sequence[SystemParams]
+) -> tuple[int, list[EnsembleSpec], Callable[..., Aggregate]]:
+    """The seed, the ensemble of --n and --trials at each params, and
+    run_monte_carlo bound to the decoder flags, --success-tol and --workers;
+    the seed, every ensemble and the decoder settings are checked here."""
+    seed = _seed_of(args)
+    specs = [EnsembleSpec(n=args.n, params=p, trials=args.trials, base_seed=seed) for p in params]
+    decode = partial(
+        run_monte_carlo,
+        decoder_cfg=_decoder_config(args),
         success_tol=args.success_tol,
         workers=args.workers,
-        progress=progress,
     )
+    return seed, specs, decode
 
 
 def _require(args: argparse.Namespace, flag: str, reason: str) -> float:
@@ -351,6 +356,8 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
         rho_x = _require(args, "--rho-x", "when sweeping the measurement ratio")
         points = [dict(alpha=value, rho_x=rho_x) for value in grid]
     params = [_params(args, **point) for point in points]
+    if args.with_mc:
+        seed, specs, decode = _ensembles(args, params)
     progress = _progress("mse-curve")
     # with --with-mc the ensembles take the time, and progress follows them
     states = _ordered_map(
@@ -360,7 +367,7 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
         None if args.with_mc else progress,
     )
     records: list[dict] = []
-    for index, (point, point_params, state) in enumerate(zip(points, params, states)):
+    for index, (point, state) in enumerate(zip(points, states)):
         record = dict.fromkeys(_CURVE_COLUMNS, math.nan)
         record.update(point)
         if state is None:
@@ -369,13 +376,13 @@ def cmd_mse_curve(args: argparse.Namespace) -> int:
             record["status"] = "perfect" if state.perfect else "converged"
             record.update((name, getattr(state, name)) for name in _STATE_FIELDS)
         if args.with_mc:
-            _, aggregate = _ensemble(args, point_params)
+            aggregate = decode(specs[index])
             record.update((f"mc_{name}", getattr(aggregate, name)) for name in _AGGREGATE_FIELDS)
             progress(index + 1, len(grid))
         records.append(record)
     axis = "rho_x" if args.axis == "rho-x" else "alpha"
     if args.with_mc:
-        meta = _meta_of(args, (axis,), seed=_seed_of(args))
+        meta = _meta_of(args, (axis,), seed=seed)
     else:
         meta = _meta_of(args, (axis, *_MC_KEYS))
     _emit(args, meta, records, _CURVE_COLUMNS)
@@ -443,7 +450,8 @@ def cmd_optimize_lambda(args: argparse.Namespace) -> int:
 def cmd_mc(args: argparse.Namespace) -> int:
     alpha = _require(args, "--alpha", "to size the ensemble")
     params = _params(args, alpha=alpha, rho_x=_require(args, "--rho-x", "to sample signals"))
-    spec, aggregate = _ensemble(args, params, _progress("mc"))
+    _, (spec,), decode = _ensembles(args, [params])
+    aggregate = decode(spec, progress=_progress("mc"))
     replica = solve_mse_fixed_point(params)
     record = {
         "n": spec.n,
@@ -549,30 +557,33 @@ def _read_config(path: str) -> list[tuple[str, str]]:
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags placed before the explicit ones."""
-    path = None
-    for i, token in enumerate(argv):
+    """Expand every --config FILE, in command-line order, into flags placed
+    before the explicit ones; a later file's value for a key replaces an earlier one's."""
+    paths = []
+    tokens = iter(argv)
+    for token in tokens:
         if token == "--config":
-            if i + 1 >= len(argv):
+            path = next(tokens, None)
+            if path is None:
                 raise _UsageError("--config needs a file path")
-            path = argv[i + 1]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            break
-    if path is None or not argv or argv[0].startswith("-"):
+            paths.append(path)
+        elif token.startswith("--config="):
+            paths.append(token.split("=", 1)[1])
+    if not paths or not argv or argv[0].startswith("-"):
         return argv
-    flags: list[str] = []
-    for key, value in _read_config(path):
-        name = "--" + key.replace("_", "-")
-        if name.lstrip("-") in _BOOL_KEYS:
-            if value.lower() in ("true", "1", "yes", "on"):
-                flags.append(name)
-            elif value.lower() not in ("false", "0", "no", "off"):
+    flags: dict[str, list[str]] = {}
+    for path in paths:
+        for key, value in _read_config(path):
+            name = "--" + key.replace("_", "-")
+            if name.lstrip("-") not in _BOOL_KEYS:
+                flags[name] = [name, value]
+            elif value.lower() in ("true", "1", "yes", "on"):
+                flags[name] = [name]
+            elif value.lower() in ("false", "0", "no", "off"):
+                flags[name] = []
+            else:
                 raise _UsageError(f"config key {key!r} expects a boolean, got {value!r}")
-        else:
-            flags.extend((name, value))
-    return [argv[0], *flags, *argv[1:]]
+    return [argv[0], *(token for flag in flags.values() for token in flag), *argv[1:]]
 
 
 def main(argv: Sequence[str] | None = None) -> int:

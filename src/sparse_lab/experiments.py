@@ -54,9 +54,6 @@ _MATRIX_TAG = 0
 _SIGNAL_TAG = 1
 _NOISE_TAG = 2
 
-# A component of the estimate counts as detected support above this size.
-_SUPPORT_TOL = 1e-6
-
 # The worker pool is shut down after this many seconds without a call.
 # Forked workers hold every descriptor this process had at the fork, so
 # whoever waits for EOF on a pipe this process closes waits this long
@@ -102,8 +99,6 @@ class TrialSummary:
     squared_error: float
     objective: float
     converged: bool
-    support_precision: float
-    support_recall: float
     wall_time: float
     iterations: int
     finish: str
@@ -179,20 +174,10 @@ def run_trial(
     diff = result.x_hat - instance.x0
     squared_error = float(diff @ diff) / spec.n
 
-    found = np.abs(result.x_hat) > _SUPPORT_TOL
-    truth = instance.x0 != 0.0
-    overlap = int(np.count_nonzero(found & truth))
-    n_found = int(np.count_nonzero(found))
-    n_truth = int(np.count_nonzero(truth))
-    precision = overlap / n_found if n_found else 1.0
-    recall = overlap / n_truth if n_truth else 1.0
-
     return TrialSummary(
         squared_error=squared_error,
         objective=result.objective,
         converged=result.converged,
-        support_precision=precision,
-        support_recall=recall,
         wall_time=elapsed,
         iterations=result.iterations,
         finish=result.finish,

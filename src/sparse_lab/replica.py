@@ -700,25 +700,6 @@ def _check_bracket(name: str, lo: float, hi: float, f_lo: float, f_hi: float, ri
         )
 
 
-def _boundary_root(
-    residual_at: Callable[[float], float],
-    name: str,
-    lo: float,
-    hi: float,
-    rising: bool,
-    cfg: SolverConfig,
-) -> float:
-    """Root of the condition residual on (lo, hi) by Brent's method.
-
-    The ends are checked by _check_bracket with rising. The root is pinned
-    to within cfg.bisection_tol / 2. Each end is solved once.
-    """
-    f_lo = residual_at(lo)
-    f_hi = residual_at(hi)
-    _check_bracket(name, lo, hi, f_lo, f_hi, rising)
-    return _brent(residual_at, lo, hi, f_lo, f_hi, xtol=cfg.bisection_tol / 2)
-
-
 def find_critical_rho_x(
     alpha: float,
     lam: float,
@@ -736,7 +717,10 @@ def find_critical_rho_x(
     def residual_at(rho_x: float) -> float:
         return solve_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg).condition_residual
 
-    return _boundary_root(residual_at, "rho_x", 1e-6, 1.0 - 1e-6, rising=False, cfg=cfg)
+    lo, hi = 1e-6, 1.0 - 1e-6
+    f_lo, f_hi = residual_at(lo), residual_at(hi)
+    _check_bracket("rho_x", lo, hi, f_lo, f_hi, rising=False)
+    return _brent(residual_at, lo, hi, f_lo, f_hi, xtol=cfg.bisection_tol / 2)
 
 
 def find_critical_alpha(

@@ -32,7 +32,7 @@ system.
 import math
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 
 from sparse_lab.decoder import (
     _PRIMAL_WEIGHT,
@@ -43,7 +43,7 @@ from sparse_lab.decoder import (
 from sparse_lab.experiments import EnsembleSpec, sample_instance
 from sparse_lab.replica import (
     DEFAULT_SOLVER,
-    _boundary_root,
+    BracketError,
     _interior_moment_pair,
     _mse_start,
     _mse_sweep,
@@ -225,15 +225,18 @@ def damped_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg=DEFAULT_SOLVER, d
 def nested_critical_alpha(lam, rho_x, rho_w, cfg=DEFAULT_SOLVER):
     """The boundary in alpha on (1e-4, 1) by Brent's method in alpha.
 
-    Every probe is a threshold solve at that alpha, and the root is pinned
-    to within cfg.bisection_tol / 2. Raises BracketError as
-    find_critical_alpha does when the residual does not rise through zero.
+    Every probe is a threshold solve at that alpha, the ends included, and
+    the root is pinned to within cfg.bisection_tol / 2. Raises BracketError
+    as find_critical_alpha does when the residual does not rise through zero.
     """
 
     def residual_at(alpha):
         return solve_threshold_fixed_point(alpha, lam, rho_x, rho_w, cfg).condition_residual
 
-    return _boundary_root(residual_at, "alpha", 1e-4, 1.0, rising=True, cfg=cfg)
+    f_lo, f_hi = residual_at(1e-4), residual_at(1.0)
+    if not f_lo < 0.0 < f_hi:
+        raise BracketError(f"no phase boundary in range: residual {f_lo:.6e} to {f_hi:.6e}")
+    return brentq(residual_at, 1e-4, 1.0, xtol=cfg.bisection_tol / 2)
 
 # Divergence verdict on (mse, chi, m_hat, chi_hat): m_hat grows without
 # bound and the error collapses.

@@ -425,6 +425,25 @@ class TestMseCurve:
         code, out, err = run_cli([*self.ARGS, *grid], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("grid, flag, message", [
+        ([], ["--n", "4"], "n must be at least 8, got 4"),
+        (["--grid-count", "0"], ["--decoder-tol", "0"], "primal_tol must be positive"),
+    ], ids=["n", "empty-grid-decoder-tol"])
+    def test_with_mc_checks_ensembles_before_solving(self, grid, flag, message, capsys, monkeypatch):
+        """--with-mc rejects a bad ensemble or decoder setting before any
+        point's mse fixed point is solved, on an empty grid too."""
+        solves = []
+        solve = cli.solve_mse_fixed_point
+
+        def counting(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(cli, "solve_mse_fixed_point", counting)
+        code, out, err = run_cli([*self.ARGS, *grid, "--with-mc", "--workers", "1", *flag], capsys)
+        assert (code, out, solves) == (2, "", [])
+        assert err.startswith(f"error: {message}")
+
     def test_with_mc_rows_do_not_depend_on_workers(self, capsys):
         """--with-mc fills the ensemble columns, and the rows are the same
         on one worker and on two."""
@@ -532,6 +551,36 @@ class TestConfigFile:
         assert record["mc_mean_mse"] >= 0.0 and record["mc_std_error"] >= 0.0
         assert 0.0 <= record["mc_success_fraction"] <= 1.0
         assert record["mc_not_converged"] == 0
+
+    def test_every_config_applies_in_order(self, capsys, tmp_path):
+        """A later --config overrides an earlier one in either form, and an
+        explicit flag overrides both."""
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("alpha = 0.5\nrho-w = 0.1\n")
+        second.write_text("alpha = 0.7\n")
+        argv = ["threshold", "--solve-for", "rho-x", "--format", "json"]
+
+        def alpha_of(*extra):
+            code, out, _ = run_cli([*argv, *extra], capsys)
+            assert code == 0
+            return json.loads(out)["meta"]["alpha"]
+
+        assert alpha_of("--config", str(first), f"--config={second}") == 0.7
+        assert alpha_of(f"--config={second}", "--config", str(first)) == 0.5
+        assert alpha_of("--config", str(first), "--alpha", "0.6", "--config", str(second)) == 0.6
+
+    def test_later_config_turns_a_boolean_off(self, capsys, tmp_path):
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("with-mc = true\n")
+        second.write_text("with-mc = off\n")
+        code, out, _ = run_cli(
+            ["mse-curve", "--alpha", "0.5", "--rho-w", "0.1", "--grid-start", "0.1",
+             "--grid-stop", "0.1", "--grid-count", "0", "--config", str(first),
+             "--config", str(second), "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["meta"]["with_mc"] is False
 
 
 class TestSeedResolution:

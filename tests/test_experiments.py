@@ -140,8 +140,6 @@ class TestRunTrial:
     def test_summary_fields(self):
         summary = run_trial(_spec(), 0)
         assert summary.squared_error >= 0.0
-        assert 0.0 <= summary.support_precision <= 1.0
-        assert 0.0 <= summary.support_recall <= 1.0
         assert summary.wall_time > 0.0
         assert isinstance(summary.converged, bool)
 

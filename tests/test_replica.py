@@ -23,7 +23,6 @@ from sparse_lab.replica import (
     optimize_lambda,
     solve_mse_fixed_point,
     solve_threshold_fixed_point,
-    _boundary_root,
     _mse_start,
     _mse_sweep,
     _threshold_update,
@@ -615,25 +614,25 @@ class TestThresholdFixedPoint:
             coarse = find_critical_alpha(lam, rho_x, rho_w)
             assert abs(coarse - find_critical_alpha(lam, rho_x, rho_w, tight)) <= half
 
-    @pytest.mark.parametrize("rising", [True, False])
-    def test_boundary_root_solves_each_abscissa_once(self, rising):
+    def test_critical_rho_x_solves_each_density_once(self, monkeypatch):
         """The end values of the bracket check are handed on to Brent's
         method, and the root is the one Brent's method finds alone."""
         cfg = SolverConfig()
-        sign = 1.0 if rising else -1.0
-
-        def residual(t):
-            return sign * float(np.tanh(4.0 * (t - 0.3)))
-
+        solve = replica.solve_threshold_fixed_point
         seen = []
 
-        def counting(t):
-            seen.append(t)
-            return residual(t)
+        def counting(alpha, lam, rho_x, rho_w, cfg):
+            seen.append(rho_x)
+            return solve(alpha, lam, rho_x, rho_w, cfg)
 
-        root = _boundary_root(counting, "t", 1e-4, 1.0, rising, cfg)
-        assert len(seen) == len(set(seen))
-        assert root == brentq(residual, 1e-4, 1.0, xtol=cfg.bisection_tol / 2)
+        monkeypatch.setattr(replica, "solve_threshold_fixed_point", counting)
+        root = find_critical_rho_x(0.5, 1.0, 0.1, cfg)
+        assert len(seen) == len(set(seen)) > 2
+
+        def residual(rho_x):
+            return solve(0.5, 1.0, rho_x, 0.1, cfg).condition_residual
+
+        assert root == brentq(residual, 1e-6, 1.0 - 1e-6, xtol=cfg.bisection_tol / 2)
 
     def test_critical_alpha_matches_nested_search(self):
         """On 400 seeded cells the root in chi_hat gives the nested search's
