@@ -614,25 +614,62 @@ class TestThresholdFixedPoint:
             coarse = find_critical_alpha(lam, rho_x, rho_w)
             assert abs(coarse - find_critical_alpha(lam, rho_x, rho_w, tight)) <= half
 
-    def test_critical_rho_x_solves_each_density_once(self, monkeypatch):
-        """The end values of the bracket check are handed on to Brent's
-        method, and the root is the one Brent's method finds alone."""
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_boundary_root_solves_each_abscissa_once(self, rising, monkeypatch):
+        """Both boundary searches hand the end values of the bracket check on
+        to Brent's method, and the root is the one Brent's method finds alone:
+        in rho_x, where the residual falls, and in chi_hat, where it rises
+        with alpha."""
         cfg = SolverConfig()
         solve = replica.solve_threshold_fixed_point
-        seen = []
+        if not rising:
+            seen = []
 
-        def counting(alpha, lam, rho_x, rho_w, cfg):
-            seen.append(rho_x)
-            return solve(alpha, lam, rho_x, rho_w, cfg)
+            def counting(alpha, lam, rho_x, rho_w, cfg):
+                seen.append(rho_x)
+                return solve(alpha, lam, rho_x, rho_w, cfg)
 
-        monkeypatch.setattr(replica, "solve_threshold_fixed_point", counting)
-        root = find_critical_rho_x(0.5, 1.0, 0.1, cfg)
-        assert len(seen) == len(set(seen)) > 2
+            monkeypatch.setattr(replica, "solve_threshold_fixed_point", counting)
+            root = find_critical_rho_x(0.5, 1.0, 0.1, cfg)
+            assert len(seen) == len(set(seen)) > 2
 
-        def residual(rho_x):
-            return solve(0.5, 1.0, rho_x, 0.1, cfg).condition_residual
+            def residual(rho_x):
+                return solve(0.5, 1.0, rho_x, 0.1, cfg).condition_residual
 
-        assert root == brentq(residual, 1e-6, 1.0 - 1e-6, xtol=cfg.bisection_tol / 2)
+            assert root == brentq(residual, 1e-6, 1.0 - 1e-6, xtol=cfg.bisection_tol / 2)
+            return
+
+        # the map evaluations outside the two end solves are Brent's probes
+        cell = (1.0, 0.1, 0.01)
+        update = replica._threshold_update
+        inside, ends, probes = [], [], []
+
+        def end_solve(*args):
+            inside.append(True)
+            try:
+                state = solve(*args)
+            finally:
+                inside.pop()
+            ends.append(state.chi_hat)
+            return state
+
+        def probe(*args):
+            if not inside:
+                probes.append(args[-1])
+            return update(*args)
+
+        monkeypatch.setattr(replica, "solve_threshold_fixed_point", end_solve)
+        monkeypatch.setattr(replica, "_threshold_update", probe)
+        alpha_c = find_critical_alpha(*cell, cfg)
+        assert len(ends) == 2 and probes
+        assert len(set(probes + ends)) == len(probes) + 2
+
+        def residual(chi_hat):
+            a_value, g = update(1.0, *cell, chi_hat)
+            return replica._condition_residual(chi_hat / g, *cell, a_value, chi_hat)
+
+        chi_hat = brentq(residual, *ends, xtol=1e-300, rtol=cfg.rel_tol)
+        assert alpha_c == chi_hat / update(1.0, *cell, chi_hat)[1]
 
     def test_critical_alpha_matches_nested_search(self):
         """On 400 seeded cells the root in chi_hat gives the nested search's
