@@ -238,7 +238,10 @@ def _ensembles(
 ) -> tuple[int, list[EnsembleSpec], Callable[..., Aggregate]]:
     """The seed, the ensemble of --n and --trials at each params, and
     run_monte_carlo bound to the decoder flags, --success-tol and --workers;
-    the seed, every ensemble and the decoder settings are checked here."""
+    the seed, every ensemble, the decoder settings and --success-tol are
+    checked here."""
+    if not args.success_tol > 0.0:
+        raise ValueError(f"success_tol must be positive, got {args.success_tol!r}")
     seed = _seed_of(args)
     specs = [EnsembleSpec(n=args.n, params=p, trials=args.trials, base_seed=seed) for p in params]
     decode = partial(

@@ -16,7 +16,9 @@ HiGHS through scipy, and reference_squared_error scores one sampled
 trial with it. evaluate_objective is the objective at a given point.
 
 chambolle_pock is the textbook primal-dual loop the decoder's sweep
-implements, written the plain way, for bitwise comparison.
+implements, written the plain way, for bitwise comparison. lstsq_polish
+is the decoder's polish solved by two SVD-based least-squares calls in
+place of one QR factorization.
 
 damped_threshold_fixed_point solves the two-variable threshold system by
 damped forward iteration over (A, chi_hat), a reference for the scalar
@@ -184,6 +186,28 @@ def chambolle_pock(
         xi = np.clip(xi + sigma * (a @ (2.0 * x_new - x) - y), -1.0, 1.0)
         x = x_new
     return x
+
+
+def lstsq_polish(a: np.ndarray, y: np.ndarray, lam: float, x: np.ndarray, xi: np.ndarray):
+    """The pair of decoder._polish by np.linalg.lstsq, or None where it returns None.
+
+    Least squares on A[free, support] against y[free] for the values, and
+    the minimum-norm solution of A[free, support]^T d = lam sign(x) -
+    A[:, support]^T u for the dual correction d on the free rows.
+    """
+    support = np.flatnonzero(x)
+    free = np.abs(xi) < 1.0
+    if not support.size or np.count_nonzero(free) < support.size:
+        return None
+    sub = a[free][:, support]
+    if np.linalg.matrix_rank(sub) < support.size:
+        return None
+    polished = np.zeros_like(x)
+    polished[support] = np.linalg.lstsq(sub, y[free], rcond=None)[0]
+    u = -xi
+    mismatch = lam * np.sign(polished[support]) - a[:, support].T @ u
+    u[free] += np.linalg.lstsq(sub.T, mismatch, rcond=None)[0]
+    return polished, -u
 
 
 def _threshold_sweep(alpha, lam, rho_x, rho_w, values, damping):

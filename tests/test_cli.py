@@ -428,7 +428,8 @@ class TestMseCurve:
     @pytest.mark.parametrize("grid, flag, message", [
         ([], ["--n", "4"], "n must be at least 8, got 4"),
         (["--grid-count", "0"], ["--decoder-tol", "0"], "primal_tol must be positive"),
-    ], ids=["n", "empty-grid-decoder-tol"])
+        ([], ["--success-tol", "0"], "success_tol must be positive, got 0.0"),
+    ], ids=["n", "empty-grid-decoder-tol", "success-tol"])
     def test_with_mc_checks_ensembles_before_solving(self, grid, flag, message, capsys, monkeypatch):
         """--with-mc rejects a bad ensemble or decoder setting before any
         point's mse fixed point is solved, on an empty grid too."""
@@ -765,6 +766,14 @@ class TestMonteCarlo:
             state = replica.solve_mse_fixed_point(replica.SystemParams(0.5, 1.0, rho_x, 0.1))
             assert state.perfect is perfect and (state.mse == 0.0) is perfect
             assert (record["replica_mse"], record["replica_perfect"]) == (state.mse, perfect)
+
+    def test_zero_success_tol_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["mc", "--alpha", "0.5", "--rho-x", "0.2", "--rho-w", "0.1", "--n", "16",
+             "--trials", "2", "--workers", "1", "--success-tol", "0"],
+            capsys,
+        )
+        assert (code, out, err) == (2, "", "error: success_tol must be positive, got 0.0\n")
 
     def test_dead_worker_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(experiments, "_POOL_IDLE_S", 60.0)

@@ -1,6 +1,7 @@
 """Primal-dual decoder: known answers, optimality, certificates, LP finish."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from _oracle import (
     evaluate_objective,
     grid_objective,
     lp_decode,
+    lstsq_polish,
     random_tiny_instance,
 )
 from sparse_lab import decoder
@@ -351,11 +353,17 @@ class TestExactFinish:
 class TestPolish:
     """The pair polished on the iterate's active set at each failed check."""
 
-    # n = 256, trial 1 has 9 saturated dual rows whose polished residual is
-    # rounding noise: resetting them to its sign fails the first check there
-    @pytest.mark.parametrize("n, trial_index", [(128, 12), (256, 1)])
+    # n = 128, trial 12 certifies at the first check, sweep _FIRST_CHECK. At
+    # n = 256, trial 1 the iterate of that check holds 9 of the 10 nonzeros of
+    # x0, so the run certifies at the next one, sweep _CHECK_EVERY; it has 9
+    # saturated dual rows whose polished residual is rounding noise, and
+    # resetting them to its sign fails that check
+    @pytest.mark.parametrize("n, trial_index, sweeps", [
+        pytest.param(128, 12, decoder._FIRST_CHECK, id="128-12"),
+        pytest.param(256, 1, decoder._CHECK_EVERY, id="256-1"),
+    ])
     def test_in_phase_run_finishes_by_polish_at_the_first_check(
-        self, monkeypatch, n, trial_index
+        self, monkeypatch, n, trial_index, sweeps
     ):
         instance = _ensemble_instance(0.02, trial_index, n)
         _, _, prefix, collapsed = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
@@ -365,7 +373,7 @@ class TestPolish:
         result = decode(instance, 1.0, cfg)
         assert result.converged
         assert result.finish == "polish"
-        assert result.iterations == prefix + decoder._CHECK_EVERY
+        assert result.iterations == prefix + sweeps
         assert shapes == []
         assert result.primal_residual <= cfg.primal_tol
         assert result.dual_residual <= cfg.dual_tol
@@ -374,6 +382,47 @@ class TestPolish:
         np.testing.assert_allclose(
             result.objective, evaluate_objective(instance, x, 1.0), rtol=1e-9
         )
+
+    def test_matches_lstsq_reference(self, monkeypatch):
+        """The QR polish agrees with two lstsq solves on the offers of in-phase decodes."""
+        offers = []
+        real_polish = decoder._polish
+
+        def recording(a, y, lam, x, xi):
+            offers.append((a, y, lam, x.copy(), xi.copy()))
+            return real_polish(a, y, lam, x, xi)
+
+        monkeypatch.setattr(decoder, "_polish", recording)
+        for n in (128, 256):
+            for rho_x in (0.02, 0.065):
+                for trial_index in range(4):
+                    decode(_ensemble_instance(rho_x, trial_index, n), 1.0)
+        compared = 0
+        for offer in offers:
+            got, want = real_polish(*offer), lstsq_polish(*offer)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+            # a support value that is rounding noise has an arbitrary sign,
+            # and the dual correction follows that sign
+            if np.array_equal(np.sign(got[0]), np.sign(want[0])):
+                np.testing.assert_allclose(got[1], want[1], rtol=0.0, atol=1e-12)
+                compared += 1
+        assert compared >= 0.9 * len(offers) > 0
+
+    def test_duplicated_column_returns_none(self):
+        """A rank-deficient active set is no offer, and solving it raises nothing."""
+        instance = _ensemble_instance(0.02, 0)
+        a = instance.A.copy()
+        a[:, 1] = a[:, 0]
+        x = np.zeros(instance.n)
+        x[:2] = 1.0
+        xi = np.zeros(instance.m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decoder._polish(a, instance.y, 1.0, x, xi) is None
+        assert lstsq_polish(a, instance.y, 1.0, x, xi) is None
 
     @pytest.mark.parametrize("perturbed", ["primal", "dual"])
     def test_perturbed_pair_is_never_adopted(self, monkeypatch, perturbed):
@@ -400,8 +449,12 @@ class TestPolish:
 
         monkeypatch.setattr(decoder, "_polish", perturbed_polish)
         result = decode(instance, 1.0)
-        # one offer at every check before the one that certifies
-        assert len(offered) == (expected.iterations - prefix) // decoder._CHECK_EVERY - 1 > 0
+        # one offer at every check before the one that certifies: sweep
+        # _FIRST_CHECK and every multiple of _CHECK_EVERY below the last sweep
+        sweeps = expected.iterations - prefix
+        checks = [decoder._FIRST_CHECK, *range(decoder._CHECK_EVERY, sweeps, decoder._CHECK_EVERY)]
+        assert sweeps % decoder._CHECK_EVERY == 0
+        assert len(offered) == len(checks) > 1
         assert result.finish == expected.finish
         assert result.iterations == expected.iterations
         assert result.objective == expected.objective
@@ -433,12 +486,17 @@ class TestBehavior:
         x, s, prefix, collapsed = decoder._gamp(instance.A, instance.y, 1.0, decoder._GAMP_ITERS)
         assert collapsed  # the sweeps start warm from GAMP's point
         _without_polish(monkeypatch)
-        sweeps = decoder._CHECK_EVERY - 13  # one check, at the last sweep
+        # two checks, at sweep _FIRST_CHECK and at the last sweep
+        sweeps = decoder._CHECK_EVERY - 13
+        assert decoder._FIRST_CHECK < sweeps
         result = decode(instance, 1.0, DecoderConfig(max_iters=prefix + sweeps))
         expected = chambolle_pock(instance.A, instance.y, 1.0, sweeps, x, -s)
         assert not result.converged and result.iterations == prefix + sweeps
-        # x_hat is the last iterate only because it beats x = 0
-        assert evaluate_objective(instance, expected, 1.0) < np.sum(np.abs(instance.y))
+        # x_hat is the last iterate only because it beats x = 0 and the
+        # iterate of the first check
+        first = chambolle_pock(instance.A, instance.y, 1.0, decoder._FIRST_CHECK, x, -s)
+        value = evaluate_objective(instance, expected, 1.0)
+        assert value < min(np.sum(np.abs(instance.y)), evaluate_objective(instance, first, 1.0))
         assert np.array_equal(result.x_hat, expected)
 
     @pytest.mark.parametrize("field", ["primal_tol", "dual_tol", "power_iters", "power_tol"])
